@@ -7,7 +7,13 @@ contractions are phrased as matrix products so BLAS does the work.
 
 Graphs are built eagerly; ``backward()`` on a scalar accumulates gradients
 into every reachable tensor with ``requires_grad``.  No op mutates its
-inputs; gradients are the only mutable channel and are cleared explicitly.
+inputs; gradients are cleared explicitly, and ``Adam.step`` updates the
+parameter arrays in place.
+
+Convolutions are im2col products (Chellapilla, Puri & Simard 2006): the
+forward pass is one GEMM over the unrolled input windows, and the input
+gradient is one GEMM into window space followed by the col2im scatter-add
+of each kernel offset into its shifted input slice.
 """
 
 import struct
@@ -44,10 +50,11 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def accumulate(self, g: np.ndarray) -> None:
-        # First contribution copies (g may alias another node's grad buffer).
+    def accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        # First contribution copies (g may alias another node's grad buffer),
+        # unless the caller made g for this call alone.
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = g if fresh else np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -201,13 +208,18 @@ def take_columns(a: Tensor, idx) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    """max(a, 0); negative zeros come out as +0.0.
+
+    NaN inputs pass through as NaN (they are not zeroed), so a poisoned
+    activation reaches :func:`bce_mean`, whose finite check raises.
+    """
     mask = a.data > 0
 
     def bwd(g):
         if a.requires_grad:
-            a.accumulate(g * mask)
+            a.accumulate(g * mask, fresh=True)
 
-    return _node(np.where(mask, a.data, 0.0), (a,), bwd)
+    return _node(np.maximum(a.data, 0.0), (a,), bwd)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -236,9 +248,9 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if x.requires_grad:
-            x.accumulate(g @ w.data.T)
+            x.accumulate(g @ w.data.T, fresh=True)
         if w.requires_grad:
-            w.accumulate(x.data.T @ g)
+            w.accumulate(x.data.T @ g, fresh=True)
         if b.requires_grad:
             b.accumulate(g.sum(axis=0))
 
@@ -248,8 +260,10 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Valid-padding cross-correlation: x[B,C,H,W] * kernels[O,C,kh,kw] + bias[O].
 
-    Output spatial size is (H-kh+1, W-kw+1).  Input gradients come from the
-    full correlation of the output gradient with the flipped kernels.
+    Output spatial size is (H-kh+1, W-kw+1).  The input gradient is the
+    output gradient taken back to window space by one product with the
+    kernels, then scatter-added offset by offset into shifted input slices
+    (col2im).
     """
     if x.data.ndim != 4 or kernels.data.ndim != 4 or bias.data.ndim != 1:
         raise ValueError("conv2d expects x[B,C,H,W], kernels[O,C,kh,kw], bias[O]")
@@ -263,28 +277,30 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(f"conv2d: kernel ({kh},{kw}) larger than input ({h},{w})")
     ho, wo = h - kh + 1, w - kw + 1
 
-    def window_matrix(arr):
-        win = sliding_window_view(arr, (kh, kw), axis=(2, 3))
-        return win.transpose(0, 2, 3, 1, 4, 5).reshape(-1, arr.shape[1] * kh * kw)
-
-    kmat = kernels.data.reshape(c_out, c_in * kh * kw)
-    wmat = window_matrix(x.data)  # kept for the kernel-gradient contraction
-    out = (wmat @ kmat.T).reshape(bsz, ho, wo, c_out)
-    out = out.transpose(0, 3, 1, 2) + bias.data[None, :, None, None]
+    # im2col with window columns ordered (kh, kw, C): conv outputs are laid out
+    # channels-last in memory, so each window copies contiguous channel runs.
+    win = sliding_window_view(x.data, (kh, kw), axis=(2, 3))
+    wmat = win.transpose(0, 2, 3, 4, 5, 1).reshape(-1, kh * kw * c_in)
+    kmat = kernels.data.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * c_in)
+    out = wmat @ kmat.T
+    out += bias.data
+    out = out.reshape(bsz, ho, wo, c_out).transpose(0, 3, 1, 2)
 
     def bwd(g):
         gmat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
         if kernels.requires_grad:
-            kernels.accumulate((gmat.T @ wmat).reshape(kernels.data.shape))
+            gk = (gmat.T @ wmat).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
+            # same layout as the kernels, so Adam's elementwise passes run unstrided
+            kernels.accumulate(np.ascontiguousarray(gk), fresh=True)
         if bias.requires_grad:
-            bias.accumulate(g.sum(axis=(0, 2, 3)))
+            bias.accumulate(gmat.sum(axis=0))
         if x.requires_grad:
-            gp = np.zeros((bsz, c_out, h + kh - 1, w + kw - 1))
-            gp[:, :, kh - 1 : kh - 1 + ho, kw - 1 : kw - 1 + wo] = g
-            kflip = kernels.data[:, :, ::-1, ::-1]
-            kfmat = kflip.transpose(1, 0, 2, 3).reshape(c_in, c_out * kh * kw)
-            gx = (window_matrix(gp) @ kfmat.T).reshape(bsz, h, w, c_in)
-            x.accumulate(gx.transpose(0, 3, 1, 2))
+            gcol = (gmat @ kmat).reshape(bsz, ho, wo, kh, kw, c_in)
+            gx = np.zeros((bsz, h, w, c_in))
+            for i in range(kh):
+                for j in range(kw):
+                    gx[:, i : i + ho, j : j + wo] += gcol[:, :, :, i, j]
+            x.accumulate(gx.transpose(0, 3, 1, 2), fresh=True)
 
     return _node(out, (x, kernels, bias), bwd)
 
@@ -315,7 +331,14 @@ def bce_mean(p: Tensor, targets) -> Tensor:
 
 
 class Adam:
-    """Adaptive-moment gradient descent over a fixed parameter list."""
+    """Adaptive-moment gradient descent over a fixed parameter list (Kingma & Ba 2015).
+
+    ``step`` updates the moments and every parameter's ``data`` array in
+    place, so references to those arrays see the new values.  Its only
+    temporary is one scratch buffer, sized to the largest parameter and
+    shared by all of them; it lives for one step, so it adds nothing to
+    the memory held while the next batch runs.
+    """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
@@ -332,19 +355,23 @@ class Adam:
         t = self.step_count
         c1 = 1.0 - self.beta1**t
         c2 = 1.0 - self.beta2**t
+        scratch = np.empty(max((m.size for m in self._m), default=0))
         for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
+            g = 0.0 if p.grad is None else p.grad
+            s = scratch[: m.size].reshape(m.shape)
+            np.multiply(g, 1.0 - self.beta1, out=s)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += s
+            np.square(g, out=s)
+            s *= 1.0 - self.beta2
             v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            denom = np.sqrt(v / c2)
-            denom += self.eps
-            update = m / denom
-            update *= self.lr / c1
-            p.data = p.data - update
+            v += s
+            np.divide(v, c2, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            np.divide(m, s, out=s)
+            s *= self.lr / c1
+            p.data -= s
 
     def zero_grad(self) -> None:
         for p in self.params:

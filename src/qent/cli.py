@@ -41,7 +41,7 @@ def _snapshot(out_dir: Path, name: str, args: argparse.Namespace, extra=None) ->
     out_dir.mkdir(parents=True, exist_ok=True)
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     resolved.update(extra or {})
-    hn.write_config_snapshot(out_dir / f"config_{name}.txt", resolved)
+    hn.write_summary_kv(out_dir / f"config_{name}.txt", resolved)
 
 
 def _load_datasets(paths) -> list:

@@ -316,10 +316,6 @@ def write_transition_csv(path, curves: TransitionCurves) -> None:
             f.write(",".join(row) + "\n")
 
 
-def write_config_snapshot(path, mapping) -> None:
-    write_summary_kv(path, mapping)
-
-
 # --- end-to-end experiment ---------------------------------------------------
 
 

@@ -11,7 +11,7 @@ prediction differences; permuting qubits also permutes which output index
 refers to which bipartition, so the comparison re-indexes the outputs.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import sqrt
 
 import numpy as np
@@ -268,35 +268,32 @@ def siamese_loss(
 def save_model(model: CnnClassifier, path) -> None:
     """Checkpoint the parameters plus an architecture sidecar (key=value)."""
     ag.save_params(path, model.param_arrays())
-    a = model.arch
-    lines = [
-        f"n_qubits={a.n_qubits}",
-        f"conv_layers={a.conv_layers}",
-        f"kernel={a.kernel}",
-        f"r1={a.r1!r}",
-        f"fc_layers={a.fc_layers}",
-        f"fc_units={a.fc_units}",
-    ]
     with open(str(path) + ".arch", "w") as f:
-        f.write("\n".join(lines) + "\n")
+        for field in fields(ArchConfig):
+            value = field.type(getattr(model.arch, field.name))
+            f.write(f"{field.name}={value!r}\n")
 
 
 def load_model(path) -> CnnClassifier:
-    fields = {}
-    with open(str(path) + ".arch") as f:
+    """Rebuild a checkpointed model; ValueError names a missing or bad sidecar key."""
+    sidecar = str(path) + ".arch"
+    entries = {}
+    with open(sidecar) as f:
         for line in f:
             line = line.strip()
             if line and "=" in line:
                 k, v = line.split("=", 1)
-                fields[k] = v
-    arch = ArchConfig(
-        n_qubits=int(fields["n_qubits"]),
-        conv_layers=int(fields["conv_layers"]),
-        kernel=int(fields["kernel"]),
-        r1=float(fields["r1"]),
-        fc_layers=int(fields["fc_layers"]),
-        fc_units=int(fields["fc_units"]),
-    )
-    model = CnnClassifier(arch, seed=0)
+                entries[k] = v
+    values = {}
+    for field in fields(ArchConfig):
+        if field.name not in entries:
+            raise ValueError(f"{sidecar}: missing key {field.name!r}")
+        try:
+            values[field.name] = field.type(entries[field.name])
+        except ValueError:
+            raise ValueError(
+                f"{sidecar}: cannot parse {field.name}={entries[field.name]!r}"
+            ) from None
+    model = CnnClassifier(ArchConfig(**values), seed=0)
     model.set_param_arrays(ag.load_params(path))
     return model

@@ -51,6 +51,17 @@ class TestElementwise:
         out.backward()
         assert np.allclose(x.grad, [-2.0, 3.0])
 
+    def test_relu_zeros_are_positive(self):
+        t = ag.relu(ag.Tensor([-0.0, 0.0, -1.0, 2.0]))
+        assert np.array_equal(t.data, [0.0, 0.0, 0.0, 2.0])
+        assert not np.signbit(t.data).any()
+
+    def test_relu_passes_nan_to_bce_check(self):
+        h = ag.relu(ag.Tensor([[np.nan, 1.0]]))
+        assert np.isnan(h.data[0, 0])
+        with pytest.raises(ArithmeticError):
+            ag.bce_mean(ag.sigmoid(h), np.array([[1.0, 0.0]]))
+
     def test_inputs_not_mutated(self):
         x = ag.Tensor([-1.0, 2.0], requires_grad=True)
         snapshot = x.data.copy()
@@ -121,6 +132,50 @@ class TestConv2d:
         assert np.max(np.abs(got - want)) < 1e-12
 
 
+def naive_conv_grads(x, k, g):
+    """Kernel and input gradients of sum(conv2d(x, k) * g) by explicit loops."""
+    bsz, c_in, h, w = x.shape
+    c_out, _, kh, kw = k.shape
+    ho, wo = h - kh + 1, w - kw + 1
+    gk = np.zeros_like(k)
+    gx = np.zeros_like(x)
+    for b in range(bsz):
+        for o in range(c_out):
+            for c in range(c_in):
+                for a in range(kh):
+                    for e in range(kw):
+                        for i in range(ho):
+                            for j in range(wo):
+                                gk[o, c, a, e] += g[b, o, i, j] * x[b, c, i + a, j + e]
+                                gx[b, c, i + a, j + e] += g[b, o, i, j] * k[o, c, a, e]
+    return gk, gx
+
+
+class TestConv2dGradients:
+    @pytest.mark.parametrize(
+        "x_shape,k_shape",
+        [
+            ((2, 3, 4, 5), (4, 3, 2, 3)),  # non-square kernel
+            ((2, 3, 4, 5), (2, 3, 1, 1)),  # 1x1 kernel
+            ((3, 2, 3, 4), (2, 2, 3, 4)),  # kernel covers the whole input
+        ],
+    )
+    def test_matches_naive_loops(self, x_shape, k_shape):
+        rng = np.random.default_rng(60)
+        x = rand_tensor(rng, x_shape)
+        k = rand_tensor(rng, k_shape)
+        b = rand_tensor(rng, (k_shape[0],))
+        out = ag.conv2d(x, k, b)
+        g = rng.normal(size=out.shape)
+        # sum(out * g) as a 1x1 dense product, so d loss / d out is exactly g
+        flat = out.reshape((1, -1))
+        ag.dense(flat, ag.Tensor(g.reshape(-1, 1)), ag.Tensor(np.zeros(1))).reshape(()).backward()
+        want_k, want_x = naive_conv_grads(x.data, k.data, g)
+        assert np.max(np.abs(k.grad - want_k)) < 1e-12
+        assert np.max(np.abs(x.grad - want_x)) < 1e-12
+        assert np.max(np.abs(b.grad - g.sum(axis=(0, 2, 3)))) < 1e-12
+
+
 class TestGradients:
     @pytest.mark.parametrize("trial", range(6))
     def test_conv2d_finite_diff(self, trial):
@@ -183,6 +238,23 @@ class TestGradients:
         ag.mean(x).backward()
         second = x.grad.copy()
         assert np.allclose(two_path, first + second)
+
+    def test_shared_parameters_sum_branch_gradients(self):
+        rng = np.random.default_rng(53)
+        x = rand_tensor(rng, (4, 3))
+        w = rand_tensor(rng, (3, 2))
+        b = rand_tensor(rng, (2,))
+
+        def branch():
+            return ag.mean(ag.relu(ag.dense(x, w, b)))
+
+        (branch() + 3.0 * branch()).backward()
+        both = [t.grad.copy() for t in (x, w, b)]
+        for t in (x, w, b):
+            t.zero_grad()
+        branch().backward()
+        for t, g in zip((x, w, b), both):
+            assert np.allclose(g, 4.0 * t.grad, rtol=1e-14, atol=0.0)
 
     def test_backward_requires_scalar(self):
         with pytest.raises(ValueError):
@@ -251,6 +323,40 @@ class TestAdam:
             return p.data
 
         assert np.array_equal(run(), run())
+
+    def test_bit_equal_to_textbook_reference(self):
+        rng = np.random.default_rng(61)
+        shapes = [(3, 4), (5,), (2, 2, 2)]
+        # parameters start small next to the steps, so every rounding of the
+        # update shows in their bits
+        params = [ag.Tensor(1e-4 * rng.normal(size=s), requires_grad=True) for s in shapes]
+        lr, b1, b2, eps = 0.0123, 0.85, 0.995, 1e-3
+        opt = ag.Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        ref_p = [p.data.copy() for p in params]
+        ref_m = [np.zeros(s) for s in shapes]
+        ref_v = [np.zeros(s) for s in shapes]
+        for t in range(1, 6):
+            grads = [rng.normal(size=s) for s in shapes]
+            grads[1] = None  # a parameter the loss did not reach
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            for i, g in enumerate(grads):
+                g = np.zeros(shapes[i]) if g is None else g
+                ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * g
+                ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * g**2
+                v_hat = ref_v[i] / (1.0 - b2**t)
+                ref_p[i] = ref_p[i] - ref_m[i] / (np.sqrt(v_hat) + eps) * (lr / (1.0 - b1**t))
+            for p, want in zip(params, ref_p):
+                assert np.array_equal(p.data, want)
+
+    def test_updates_parameter_arrays_in_place(self):
+        p = ag.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        held = p.data
+        p.grad = np.array([1.0, -1.0])
+        ag.Adam([p], lr=0.1).step()
+        assert p.data is held
+        assert not np.array_equal(held, [1.0, 2.0])
 
 
 class TestCheckpoint:

@@ -124,6 +124,18 @@ class TestEval:
         acc = float(line.split(",")[1])
         assert 0.0 <= acc <= 1.0
 
+    def test_truncated_arch_sidecar_fails_cleanly(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes((workspace / "model.ckpt").read_bytes())
+        arch = (workspace / "model.ckpt.arch").read_text().splitlines()
+        (tmp_path / "model.ckpt.arch").write_text("\n".join(arch[:3]) + "\n")
+        capsys.readouterr()
+        assert run(["eval", "--ckpt", ckpt, "--data", workspace / "data" / "valid.qent",
+                    "--out", tmp_path / "eval"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "'r1'" in err
+
 
 class TestSweepAndConvneg:
     def test_sweep_grid_rows(self, workspace, tmp_path):

@@ -200,6 +200,21 @@ class TestCheckpointing:
         rho = ent.upb_state()
         assert np.array_equal(mdl.predict(model, rho), mdl.predict(back, rho))
 
+    @pytest.mark.parametrize(
+        "edit,key",
+        [
+            (lambda text: text.replace("fc_units=", "units="), "fc_units"),
+            (lambda text: text.replace("kernel=2", "kernel=two"), "kernel"),
+        ],
+    )
+    def test_malformed_sidecar_names_key(self, tmp_path, edit, key):
+        path = tmp_path / "model.ckpt"
+        mdl.save_model(mdl.build_cnn(small_arch(), seed=2), path)
+        sidecar = tmp_path / "model.ckpt.arch"
+        sidecar.write_text(edit(sidecar.read_text()))
+        with pytest.raises(ValueError, match=key):
+            mdl.load_model(path)
+
     def test_permute_batch_matches_qcore(self):
         rng = np.random.default_rng(8)
         rhos = np.stack([sg.kron_separable_mixed(3, rng) for _ in range(3)])
