@@ -75,6 +75,9 @@ PPTES_GEN = {
 # fraction of entangled-pure mixtures still has a negative partial transpose.
 TEST_D_CAPS = {3: 30, 4: 70, 5: 190}
 
+# Attempts any rejection loop may make before it gives up on a sample.
+MAX_ATTEMPTS = 10_000
+
 # Derived-stream set tags.
 _SET_TRAIN = 0
 _SET_VALID = 1
@@ -85,7 +88,7 @@ _SET_EXTENSION = 5
 
 
 class DatasetError(Exception):
-    """Base class for corpus persistence failures."""
+    """Base class for corpus generation and persistence failures."""
 
 
 class DatasetFormatError(DatasetError):
@@ -212,6 +215,14 @@ def _as_rho(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def _attempts(generator: str, n: int):
+    """Attempt indices for a rejection loop; raises once MAX_ATTEMPTS are spent."""
+    yield from range(MAX_ATTEMPTS)
+    raise DatasetError(
+        f"{generator}: no {n}-qubit state accepted in {MAX_ATTEMPTS} attempts"
+    )
+
+
 def _pure_separable(n: int, rng) -> LabeledState:
     psi, _ = sg.random_circuit_state(n, False, rng)
     rho = _as_rho(psi)
@@ -233,7 +244,7 @@ def _pure_entangled(n: int, rng, ghz_w_fraction: float = 0.1) -> LabeledState:
     Pool mix: random entangling circuits and Haar states in equal measure,
     plus a locally randomized GHZ / W slice (``ghz_w_fraction`` each).
     """
-    while True:
+    for _ in _attempts("_pure_entangled", n):
         r = rng.random()
         mask = 0
         if r < 2 * ghz_w_fraction:
@@ -255,7 +266,7 @@ def _pure_entangled(n: int, rng, ghz_w_fraction: float = 0.1) -> LabeledState:
 
 def sample_entangled_pure(n: int, pool: str, rng) -> np.ndarray:
     """Pure state entangled on every cut, from the 'circuit' or 'haar' pool."""
-    while True:
+    for _ in _attempts("sample_entangled_pure", n):
         if pool == "circuit":
             psi, _ = sg.random_circuit_state(n, True, rng)
         elif pool == "haar":
@@ -304,7 +315,7 @@ def _mixed_entangled_def(n: int, rng, d_max: int, keep: str) -> LabeledState:
     labels, possibly zero on others); ``keep='all'`` requires every cut to be
     certified, which is what the correct-labels-only strategy demands.
     """
-    while True:
+    for _ in _attempts("_mixed_entangled_def", n):
         pool = "circuit" if rng.random() < 0.5 else "haar"
         d = int(rng.integers(2, d_max + 1))
         rho = mixture_of_entangled(n, d, pool, rng)
@@ -317,7 +328,7 @@ def _mixed_entangled_def(n: int, rng, d_max: int, keep: str) -> LabeledState:
 
 def _mixed_entangled_traced(n: int, rng, strategy: str) -> LabeledState:
     """Marginal of a larger entangled circuit state, labeled per strategy."""
-    while True:
+    for _ in _attempts("_mixed_entangled_traced", n):
         n_extra = int(rng.integers(1, 3))
         rho, spec = sg.traced_mixed_state(n, n_extra, rng)
         if strategy == "weakly":
@@ -406,11 +417,7 @@ def build_test_sets(n_qubits: int, scale: float, seed: int) -> tuple:
 
     def mixed_sep(rng):
         if rng.random() < 0.5:
-            d = int(rng.integers(2, d_cap + 1))
-            rho = mixture_of_separable(n_qubits, d, rng)
-            negs = ent.negativity_vector(rho)
-            labels = np.zeros_like(negs, dtype=np.uint8)
-            return LabeledState(rho, labels, negs, Provenance(GEN_MIXED_SEP_MIXTURE, d=d))
+            return _mixed_separable_mixture(n_qubits, rng, d_cap)
         return _mixed_separable_kron(n_qubits, rng)
 
     def mixed_ent(rng):

@@ -11,6 +11,7 @@ Label arrays are indexed by ``index - 1``.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,34 +69,64 @@ def enumerate_bipartitions(n: int) -> list:
     return [Bipartition(n, mask) for mask in range(2, 1 << n, 2)]
 
 
+@lru_cache(maxsize=None)
+def _pt_index(n: int) -> np.ndarray:
+    """Read-only ``[cuts, K, K]`` gather table of every cut's partial transpose.
+
+    Entry ``[c, i, j]`` is the flat index into an n-qubit density matrix of
+    element ``(i, j)`` of its partial transpose on canonical cut ``c + 1``:
+    row and column swap their side-B bits.
+    """
+    k = 1 << n
+    i = np.arange(k)[:, None]
+    j = np.arange(k)[None, :]
+    masks = np.array([bp.side_b_mask for bp in enumerate_bipartitions(n)])[:, None, None]
+    swap = (i ^ j) & masks
+    idx = (i ^ swap) * k + (j ^ swap)
+    idx.flags.writeable = False
+    return idx
+
+
+def _partial_transposes(rho: np.ndarray, n: int, cut=slice(None)) -> np.ndarray:
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (1 << n, 1 << n):
+        raise ValueError(f"expected a {1 << n}x{1 << n} density matrix, got shape {rho.shape}")
+    return rho.reshape(-1)[_pt_index(n)[cut]]
+
+
 def partial_transpose(rho: np.ndarray, bp: Bipartition) -> np.ndarray:
     """Transpose the side-B indices of a density matrix.
 
+    One slice of the cached gather table :func:`_pt_index`, so it is
+    element for element the matrix :func:`negativity_vector` diagonalizes.
     Hermiticity and trace survive; positivity generally does not, which is
     the whole point.
     """
-    rho = np.asarray(rho, dtype=complex)
-    n = num_qubits(rho.shape[0])
+    n = num_qubits(np.asarray(rho).shape[0])
     if bp.num_qubits != n:
         raise ValueError(f"bipartition is for {bp.num_qubits} qubits, state has {n}")
-    t = rho.reshape([2] * (2 * n))
-    for q in bp.side_b:
-        ax = n - 1 - q
-        t = np.swapaxes(t, ax, n + ax)
-    return t.reshape(rho.shape)
+    return _partial_transposes(rho, n, bp.index - 1)
 
 
-def negativity(rho: np.ndarray, bp: Bipartition) -> float:
-    """Sum of |eigenvalue| over the negative spectrum of the partial transpose."""
-    evs = hermitian_eigenvalues(partial_transpose(rho, bp))
+def _negative_mass(evs: np.ndarray) -> float:
     neg = evs[evs < -NPT_THRESHOLD]
     return float(-neg.sum()) + 0.0  # normalize -0.0 away
 
 
+def negativity(rho: np.ndarray, bp: Bipartition) -> float:
+    """Sum of |eigenvalue| over the negative spectrum of the partial transpose."""
+    return _negative_mass(hermitian_eigenvalues(partial_transpose(rho, bp)))
+
+
 def negativity_vector(rho: np.ndarray) -> np.ndarray:
-    """Negativity of every bipartition, in canonical order."""
+    """Negativity of every bipartition, in canonical order.
+
+    All partial transposes come from one gather and are diagonalized by one
+    stacked eigensolver call.
+    """
     n = num_qubits(np.asarray(rho).shape[0])
-    return np.array([negativity(rho, bp) for bp in enumerate_bipartitions(n)])
+    evs = hermitian_eigenvalues(_partial_transposes(rho, n))
+    return np.array([_negative_mass(e) for e in evs])
 
 
 def label_by_negativity(rho: np.ndarray) -> tuple:

@@ -84,15 +84,16 @@ def partial_trace(rho: np.ndarray, traced_qubits) -> np.ndarray:
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending.
+    """Real eigenvalues of a Hermitian matrix, or of a ``[..., K, K]`` stack, ascending.
 
-    Raises ValueError when the input deviates from Hermiticity by more than
+    A stack is diagonalized in one call (one eigenvalue row per matrix).
+    Raises ValueError when any matrix deviates from Hermiticity by more than
     ``EIG_HERMITICITY_ATOL`` in max-norm.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > EIG_HERMITICITY_ATOL:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1] or m.size == 0:
+        raise ValueError(f"expected square matrices, got shape {m.shape}")
+    if np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())) > EIG_HERMITICITY_ATOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(m)
 

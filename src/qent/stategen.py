@@ -8,6 +8,7 @@ single-qubit mixed factors.  Every generator takes an explicit
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -91,33 +92,48 @@ def cu_gate(theta: float, phi: float, lam: float, gamma: float) -> np.ndarray:
     return g
 
 
+@lru_cache(maxsize=None)
+def _gate_index(n: int, targets: tuple) -> np.ndarray:
+    """Read-only ``[2**(n-t), 2**t]`` table of state indices for a gate's rows.
+
+    Row r lists the 2**t amplitudes one gate application mixes, in the
+    gate's own basis order (column j has bit k of j equal to the bit of
+    ``targets[k]``); rows run over the other qubits in ascending order.
+    Invalid targets raise here, and a raising call is never cached.
+    """
+    t = len(targets)
+    if len(set(targets)) != t:
+        raise ValueError(f"duplicate target qubits in {list(targets)}")
+    if any(q < 0 or q >= n for q in targets):
+        raise ValueError(f"targets {list(targets)} out of range for {n} qubits")
+    # Axis n-1-q of the [2]*n index tensor is qubit q; move the gate axes
+    # last so the flattened trailing index reads (targets[t-1], ..., targets[0]).
+    src = [n - 1 - targets[j] for j in reversed(range(t))]
+    idx = np.moveaxis(np.arange(1 << n).reshape([2] * n), src, range(n - t, n))
+    idx = idx.reshape(-1, 1 << t)
+    idx.flags.writeable = False
+    return idx
+
+
 def apply_gate(state: np.ndarray, gate: np.ndarray, targets) -> np.ndarray:
     """Apply a 2**t-dimensional gate to the listed qubits of a state vector.
 
     ``targets[j]`` supplies bit j of the gate's own basis index, so for a
     controlled gate built by :func:`cu_gate` pass ``[target, control]``.
+    The state is gathered through an index table cached per
+    ``(n, targets)`` into contiguous ``[2**(n-t), 2**t]`` rows, multiplied
+    by ``gate.T`` and scattered back through the same table.
     """
     state = np.asarray(state, dtype=complex)
     n = num_qubits(state.shape[0])
-    targets = [int(q) for q in targets]
-    t = len(targets)
-    if len(set(targets)) != t:
-        raise ValueError(f"duplicate target qubits in {targets}")
-    if any(q < 0 or q >= n for q in targets):
-        raise ValueError(f"targets {targets} out of range for {n} qubits")
+    targets = tuple(int(q) for q in targets)
+    idx = _gate_index(n, targets)
     gate = np.asarray(gate, dtype=complex)
-    if gate.shape != (1 << t, 1 << t):
-        raise ValueError(f"gate shape {gate.shape} does not act on {t} qubit(s)")
-
-    psi = state.reshape([2] * n)
-    # Gather gate axes so the flattened trailing index reads (bit of
-    # targets[t-1], ..., bit of targets[0]), matching the gate's basis order.
-    src = [n - 1 - targets[j] for j in reversed(range(t))]
-    psi = np.moveaxis(psi, src, range(n - t, n))
-    shape = psi.shape
-    psi = psi.reshape(-1, 1 << t) @ gate.T
-    psi = np.moveaxis(psi.reshape(shape), range(n - t, n), src)
-    return psi.reshape(-1)
+    if gate.shape != (idx.shape[1], idx.shape[1]):
+        raise ValueError(f"gate shape {gate.shape} does not act on {len(targets)} qubit(s)")
+    out = np.empty_like(state)
+    out[idx] = state[idx] @ gate.T
+    return out
 
 
 def run_circuit(spec: CircuitSpec) -> np.ndarray:

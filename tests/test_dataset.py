@@ -115,6 +115,36 @@ class TestLabelingStrategies:
                 assert purity > 1 - 1e-9
 
 
+class TestRejectionCap:
+    """Every rejection loop gives up after MAX_ATTEMPTS with a DatasetError."""
+
+    @staticmethod
+    def never_certify(rho):
+        negs = np.zeros(ent.num_bipartitions(qcore.num_qubits(rho.shape[0])))
+        return negs.astype(np.uint8), negs
+
+    @pytest.mark.parametrize(
+        "name,make",
+        [
+            ("_pure_entangled", lambda rng: dsm._pure_entangled(3, rng)),
+            ("_mixed_entangled_def", lambda rng: dsm._mixed_entangled_def(3, rng, 4, keep="any")),
+            ("_mixed_entangled_traced", lambda rng: dsm._mixed_entangled_traced(3, rng, "verified")),
+        ],
+    )
+    def test_uncertified_labels_exhaust_cap(self, monkeypatch, name, make):
+        monkeypatch.setattr(dsm, "MAX_ATTEMPTS", 3)
+        monkeypatch.setattr(ent, "label_by_negativity", self.never_certify)
+        with pytest.raises(dsm.DatasetError, match=rf"^{name}: no 3-qubit state accepted in 3 attempts"):
+            make(seeded_rng(1, 0, 0, 0))
+
+    def test_entangled_pure_sampler_exhausts_cap(self, monkeypatch):
+        monkeypatch.setattr(dsm, "MAX_ATTEMPTS", 4)
+        monkeypatch.setattr(ent, "negativity_vector", lambda rho: self.never_certify(rho)[1])
+        for pool in ("circuit", "haar"):
+            with pytest.raises(dsm.DatasetError, match=r"^sample_entangled_pure: no 4-qubit state accepted in 4 attempts"):
+                dsm.sample_entangled_pure(4, pool, seeded_rng(1, 0, 0, 0))
+
+
 class TestPptesSets:
     def test_counts_and_ppt(self):
         states = dsm.make_pptes_testset("upb", 30, seeded_rng(7, 1))

@@ -133,6 +133,58 @@ class TestNegativity:
                 assert abs(ent.negativity(rho, bp) - ent.negativity(permuted, bp_img)) < 1e-8
 
 
+def negativity_reference(rho):
+    """Per-cut negativity: swapaxes partial transpose, one eigvalsh per cut."""
+    n = qcore.num_qubits(rho.shape[0])
+    out = []
+    for bp in ent.enumerate_bipartitions(n):
+        t = rho.reshape([2] * (2 * n))
+        for q in bp.side_b:
+            t = np.swapaxes(t, n - 1 - q, 2 * n - 1 - q)
+        evs = np.linalg.eigvalsh(t.reshape(rho.shape))
+        out.append(float(-evs[evs < -ent.NPT_THRESHOLD].sum()) + 0.0)
+    return np.array(out)
+
+
+class TestNegativityVectorKernel:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_bit_equal_to_per_cut_reference(self, n):
+        rng = np.random.default_rng(30 + n)
+        product = qcore.kron_all([np.outer(v, v.conj()) for v in (sg.haar_state(1, rng) for _ in range(n))])
+        horodecki = sg.randomize_local(ent.horodecki_state(0.4, n), rng)
+        rhos = [product, horodecki, sg.kron_separable_mixed(n, rng)]
+        rhos += [random_mixed(n, rng) for _ in range(4)]
+        for _ in range(3):
+            psi = sg.haar_state(n, rng)
+            rhos.append(np.outer(psi, psi.conj()))
+        for rho in rhos:
+            got = ent.negativity_vector(rho)
+            want = negativity_reference(rho)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert not np.any(np.signbit(got))
+            for bp in ent.enumerate_bipartitions(n):
+                assert ent.negativity(rho, bp) == got[bp.index - 1]
+        assert np.all(ent.negativity_vector(product) == 0.0)
+        ppt = ent.negativity_vector(horodecki)[ent.horodecki_ppt_cut(n).index - 1]
+        assert ppt == 0.0 and not np.signbit(ppt)
+
+    def test_non_hermitian_rejected(self):
+        rho = random_mixed(3, np.random.default_rng(11))
+        rho[0, 5] += 1e-6
+        with pytest.raises(ValueError, match="Hermitian"):
+            ent.negativity_vector(rho)
+        with pytest.raises(ValueError):
+            ent.negativity(rho, ent.Bipartition(3, 0b100))
+
+    def test_shape_mismatch_rejected(self):
+        rho = random_mixed(3, np.random.default_rng(12))
+        with pytest.raises(ValueError):
+            ent.partial_transpose(rho, ent.Bipartition(2, 0b10))
+        with pytest.raises(ValueError):
+            ent.negativity_vector(rho[:, :4])
+
+
 class TestLabeling:
     def test_separable_circuit_all_zero(self):
         rng = np.random.default_rng(9)

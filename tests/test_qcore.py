@@ -128,6 +128,22 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError):
             qcore.hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    def test_stack_bit_equal_to_single_calls(self):
+        rng = np.random.default_rng(6)
+        for n in (3, 5):
+            stack = np.stack([random_density(n, rng) for _ in range(4)])
+            want = np.stack([qcore.hermitian_eigenvalues(m) for m in stack])
+            assert np.array_equal(qcore.hermitian_eigenvalues(stack), want)
+
+    def test_stack_rejects_one_non_hermitian(self):
+        rng = np.random.default_rng(7)
+        stack = np.stack([random_density(2, rng) for _ in range(3)])
+        stack[1, 0, 3] += 1e-6
+        with pytest.raises(ValueError, match="Hermitian"):
+            qcore.hermitian_eigenvalues(stack)
+        with pytest.raises(ValueError):
+            qcore.hermitian_eigenvalues(np.zeros((3, 4, 2), dtype=complex))
+
 
 class TestPermuteQubits:
     def test_identity(self):

@@ -104,6 +104,32 @@ class TestApplyGate:
         out = sg.apply_gate(psi, sg.cu_gate(*rng.uniform(0, TAU, 4)), [3, 1])
         assert abs(np.linalg.norm(out) - 1) < 1e-12
 
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_matches_embedded_operator_wide_registers(self, n):
+        rng = np.random.default_rng(n)
+        psi = sg.haar_state(n, rng)
+        plans = [[0], [n - 1], [3], [0, n - 1], [n - 1, 0], [2, 5], [4, 1]]
+        for targets in plans:
+            if len(targets) == 1:
+                gate = sg.u_gate(*rng.uniform(0, TAU, 3))
+            else:
+                gate = sg.cu_gate(*rng.uniform(0, TAU, 4))
+            got = sg.apply_gate(psi, gate, targets)
+            want = embed_oracle(gate, targets, n) @ psi
+            assert np.max(np.abs(got - want)) < 1e-12
+            psi = got
+
+    def test_bad_targets_rejected_after_cached_valid_key(self):
+        psi = sg.haar_state(3, np.random.default_rng(9))
+        cu = sg.cu_gate(0.3, 0.6, 0.9, 1.2)
+        first = sg.apply_gate(psi, cu, [0, 2])
+        for bad in ([2, 2], [0, 3], [-1, 0]):
+            with pytest.raises(ValueError):
+                sg.apply_gate(psi, cu, bad)
+        with pytest.raises(ValueError):
+            sg.apply_gate(psi, np.eye(2, dtype=complex), [0, 2])
+        assert np.array_equal(sg.apply_gate(psi, cu, [0, 2]), first)
+
     def test_rejects_bad_dimensions(self):
         psi = np.zeros(8, dtype=complex)
         psi[0] = 1
