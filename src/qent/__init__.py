@@ -78,7 +78,6 @@ from .harness import (
     ExperimentPlan,
     MetricsReport,
     combined_classify,
-    conv_neg,
     evaluate_accuracy,
     run_experiment,
     train_model,

@@ -6,7 +6,6 @@ outputs before doing any work.
 """
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -21,27 +20,11 @@ from .rng import seeded_rng
 PPTES_FULL_COUNT = 10_000  # full-scale size of each family test set
 
 
-def _apply_thread_cap(threads: int | None) -> int | None:
-    """Best-effort cap on BLAS worker threads; results do not depend on it."""
-    if threads is None:
-        env = os.environ.get("QENT_THREADS")
-        threads = int(env) if env else None
-    if threads:
-        try:
-            import threadpoolctl
-
-            threadpoolctl.threadpool_limits(limits=threads)
-        except ImportError:
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ[var] = str(threads)
-    return threads
-
-
 def _snapshot(out_dir: Path, name: str, args: argparse.Namespace, extra=None) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     resolved.update(extra or {})
-    hn.write_summary_kv(out_dir / f"config_{name}.txt", resolved)
+    dsm.write_kv(out_dir / f"config_{name}.txt", resolved)
 
 
 def _load_datasets(paths) -> list:
@@ -152,7 +135,7 @@ def cmd_eval(args) -> int:
         summary[f"{r.dataset}.accuracy"] = repr(r.accuracy)
         summary[f"{r.dataset}.conv_neg"] = repr(r.conv_neg)
         summary[f"{r.dataset}.npt_fraction"] = repr(r.npt_fraction)
-    hn.write_summary_kv(out / "summary.txt", summary)
+    dsm.write_kv(out / "summary.txt", summary)
     for r in reports:
         print(f"{r.dataset}: accuracy {r.accuracy:.4f}  convneg {r.conv_neg:.4f}")
     print(f"wrote {out / 'metrics.csv'}")
@@ -221,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entanglement-detection bench: generate corpora, train and "
         "evaluate per-bipartition classifiers.",
     )
-    parser.add_argument("--threads", type=int, default=None, help="cap BLAS worker threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a labeled dataset")
@@ -288,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_thread_cap(args.threads)
     try:
         return args.func(args)
     except (ValueError, OSError, dsm.DatasetError) as exc:

@@ -364,6 +364,21 @@ def _check_build_args(n_qubits: int, scale: float) -> None:
         raise ValueError(f"scale {scale} outside (0, 1]")
 
 
+def _build_sections(n_qubits, strategy, scale, seed, set_tag, plan) -> Dataset:
+    """Corpus of ``plan``'s ``(name, full count, maker)`` sections, scaled.
+
+    Sample i of section ``tag`` is made from stream ``(seed, set_tag, tag, i)``.
+    """
+    sections = {}
+    states = []
+    for tag, (name, full, make) in enumerate(plan):
+        count = _scaled(full, scale)
+        sections[name] = count
+        for i in range(count):
+            states.append(make(seeded_rng(seed, set_tag, tag, i)))
+    return Dataset(DatasetManifest(n_qubits, strategy, sections, seed), states)
+
+
 def _build_table_set(n_qubits, strategy, scale, seed, set_tag) -> Dataset:
     d_max = 1 << n_qubits
     makers = {
@@ -376,16 +391,8 @@ def _build_table_set(n_qubits, strategy, scale, seed, set_tag) -> Dataset:
         ),
         "mixed_entangled_traced": lambda rng: _mixed_entangled_traced(n_qubits, rng, strategy),
     }
-    sections = {}
-    states = []
-    for tag, (name, full) in enumerate(_TRAIN_SECTIONS):
-        count = _scaled(full, scale)
-        sections[name] = count
-        make = makers[name]
-        for i in range(count):
-            states.append(make(seeded_rng(seed, set_tag, tag, i)))
-    manifest = DatasetManifest(n_qubits, strategy, sections, seed)
-    return Dataset(manifest, states)
+    plan = [(name, full, makers[name]) for name, full in _TRAIN_SECTIONS]
+    return _build_sections(n_qubits, strategy, scale, seed, set_tag, plan)
 
 
 def build_training_set(n_qubits: int, strategy: str, scale: float, seed: int) -> Dataset:
@@ -427,18 +434,10 @@ def build_test_sets(n_qubits: int, scale: float, seed: int) -> tuple:
 
     pure_plan = (("pure_separable", 15_000, pure_sep), ("pure_entangled", 15_000, pure_ent))
     mixed_plan = (("mixed_separable", 20_000, mixed_sep), ("mixed_entangled", 20_000, mixed_ent))
-
-    out = []
-    for set_tag, plan in ((_SET_TEST_PURE, pure_plan), (_SET_TEST_MIXED, mixed_plan)):
-        sections = {}
-        states = []
-        for tag, (name, full, make) in enumerate(plan):
-            count = _scaled(full, scale)
-            sections[name] = count
-            for i in range(count):
-                states.append(make(seeded_rng(seed, set_tag, tag, i)))
-        out.append(Dataset(DatasetManifest(n_qubits, "verified", sections, seed), states))
-    return out[0], out[1]
+    return (
+        _build_sections(n_qubits, "verified", scale, seed, _SET_TEST_PURE, pure_plan),
+        _build_sections(n_qubits, "verified", scale, seed, _SET_TEST_MIXED, mixed_plan),
+    )
 
 
 def make_pptes_testset(family: str, count: int, rng, n_qubits: int = 3) -> list:
@@ -526,30 +525,34 @@ def save_dataset(ds: Dataset, path) -> None:
     with open(path, "wb") as f:
         f.write(blob)
         f.write(struct.pack("<I", zlib.crc32(blob)))
-    write_manifest_sidecar(man, str(path) + ".manifest")
+    keys = ("format_version", "num_qubits", "strategy", "master_seed", "count")
+    side = {k: getattr(man, k) for k in keys}
+    side.update((f"section.{name}", c) for name, c in man.sections.items())
+    write_kv(str(path) + ".manifest", side)
 
 
-def write_manifest_sidecar(man: DatasetManifest, path) -> None:
-    lines = [
-        f"format_version={man.format_version}",
-        f"num_qubits={man.num_qubits}",
-        f"strategy={man.strategy}",
-        f"master_seed={man.master_seed}",
-        f"count={man.count}",
-    ]
-    lines += [f"section.{name}={count}" for name, count in man.sections.items()]
+def write_kv(path, mapping) -> None:
+    """Write a ``key=value`` sidecar, one entry per line, each value as ``str``."""
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        for k, v in mapping.items():
+            f.write(f"{k}={v}\n")
 
 
-def read_manifest_sidecar(path) -> dict:
+def read_kv(path) -> dict:
+    """Read a ``key=value`` sidecar into a str-to-str dict, skipping blank lines.
+
+    A non-blank line without ``=`` raises DatasetFormatError quoting the line.
+    """
     out = {}
     with open(path) as f:
         for line in f:
             line = line.strip()
-            if line and "=" in line:
-                k, v = line.split("=", 1)
-                out[k] = v
+            if not line:
+                continue
+            k, sep, v = line.partition("=")
+            if not sep:
+                raise DatasetFormatError(f"{path}: no '=' in line {line!r}")
+            out[k] = v
     return out
 
 
@@ -600,20 +603,23 @@ def load_dataset(path) -> Dataset:
         )
 
     sections = {"all": count}
+    sidecar = str(path) + ".manifest"
     try:
-        side = read_manifest_sidecar(str(path) + ".manifest")
-        parsed = {
-            key[len("section."):]: int(v)
-            for key, v in side.items()
-            if key.startswith("section.")
-        }
-        if parsed:
-            if sum(parsed.values()) != count:
-                raise DatasetIntegrityError(
-                    f"{path}: sidecar sections sum to {sum(parsed.values())}, header says {count}"
-                )
-            sections = parsed
+        side = read_kv(sidecar)
     except OSError:
-        pass
+        side = {}
+    parsed = {}
+    for key, v in side.items():
+        if key.startswith("section."):
+            try:
+                parsed[key[len("section."):]] = int(v)
+            except ValueError:
+                raise DatasetFormatError(f"{sidecar}: {key}={v!r} is not an integer") from None
+    if parsed:
+        if sum(parsed.values()) != count:
+            raise DatasetIntegrityError(
+                f"{path}: sidecar sections sum to {sum(parsed.values())}, header says {count}"
+            )
+        sections = parsed
     manifest = DatasetManifest(n, _STRATEGY_NAMES[strat_code], sections, master_seed)
     return Dataset(manifest, states)

@@ -7,7 +7,7 @@ back to the network only on the inconclusive cuts.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,6 +62,11 @@ def _neg_indicator(negs: np.ndarray) -> np.ndarray:
     return (negs > ent.NPT_THRESHOLD).astype(np.uint8)
 
 
+def _agreement(preds: np.ndarray, negs: np.ndarray) -> float:
+    """Fraction of (sample, cut) decisions equal to the negativity indicator."""
+    return float(1.0 - (preds != _neg_indicator(negs)).mean())
+
+
 def npt_fraction(negs: np.ndarray) -> float:
     """Fraction of states with at least one certified-entangled cut."""
     return float(np.mean(np.any(negs > ent.NPT_THRESHOLD, axis=1)))
@@ -110,26 +115,12 @@ def evaluate_accuracy(
         num_bipartitions=labels.shape[1],
         accuracy=accuracy,
         per_bipartition=per_bp,
-        conv_neg=float(1.0 - (preds != _neg_indicator(negs)).mean()),
+        conv_neg=_agreement(preds, negs),
         npt_fraction=npt_fraction(negs),
         seconds=time.perf_counter() - t0,
         config=dict(config or {}),
         probabilities=probs,
     )
-
-
-def conv_neg(model, ds: dsm.Dataset, thresholded: bool = True) -> float:
-    """Agreement with the negativity classifier: 1 - mean |p - [Neg > tau]|.
-
-    Thresholded predictions make this coincide with accuracy on corpora whose
-    labels match the negativity indicator (e.g. the NPT-only mixed test set).
-    """
-    rhos, _, negs = ds.arrays()
-    probs = mdl.predict_encoded(model, mdl.encode_batch(rhos))
-    indicator = _neg_indicator(negs)
-    if thresholded:
-        return float(1.0 - (_threshold(probs) != indicator).mean())
-    return float(1.0 - np.abs(probs - indicator.astype(np.float64)).mean())
 
 
 def combined_classify(model, rho: np.ndarray) -> np.ndarray:
@@ -279,8 +270,7 @@ def transition_analysis(
                 series[pool]["conv_neg"].append(float("nan"))
             else:
                 probs = mdl.predict_encoded(model, mdl.encode_batch(np.stack(rhos)))
-                agree = 1.0 - (_threshold(probs) != _neg_indicator(negs)).mean()
-                series[pool]["conv_neg"].append(float(agree))
+                series[pool]["conv_neg"].append(_agreement(_threshold(probs), negs))
     return TransitionCurves(d_values, series)
 
 
@@ -294,12 +284,6 @@ def write_metrics_csv(path, reports) -> None:
             f.write(
                 f"{r.dataset},{r.accuracy!r},{r.conv_neg!r},{r.npt_fraction!r},{r.seconds!r}\n"
             )
-
-
-def write_summary_kv(path, mapping) -> None:
-    with open(path, "w") as f:
-        for k, v in mapping.items():
-            f.write(f"{k}={v}\n")
 
 
 def write_transition_csv(path, curves: TransitionCurves) -> None:
@@ -409,15 +393,7 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
             raise ValueError("family retraining extension exists for 3 qubits only")
         extension = dsm.build_pptes_extension(plan.scale, plan.data_seed + 1)
         merged = concat_datasets(train_ds, extension)
-        re_cfg = mdl.TrainConfig(
-            epochs=plan.retrain_epochs,
-            seed=cfg.seed + 1,
-            batch_size=cfg.batch_size,
-            learning_rate=cfg.learning_rate,
-            lambda1=cfg.lambda1,
-            lambda2=cfg.lambda2,
-            deterministic=cfg.deterministic,
-        )
+        re_cfg = replace(cfg, epochs=plan.retrain_epochs, seed=cfg.seed + 1)
         train_model(model, merged, valid_ds, re_cfg, kind=plan.model_kind)
         retrained_reports = evaluate_all(model)
     return ExperimentResult(reports, retrained_reports, train_result, model)

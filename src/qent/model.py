@@ -17,11 +17,10 @@ from math import sqrt
 import numpy as np
 
 from . import autograd as ag
+from .dataset import read_kv, write_kv
 from .entanglement import num_bipartitions, permuted_bipartition_index
-from .qcore import kron_all, num_qubits
-from .stategen import u_gate
-
-TAU = 2.0 * np.pi
+from .qcore import num_qubits, permute_qubits
+from .stategen import random_local_unitary
 
 
 @dataclass
@@ -86,7 +85,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     lambda1: float = 0.5
     lambda2: float = 0.5
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -209,11 +207,6 @@ def cnn_loss(model: CnnClassifier, x: np.ndarray, labels: np.ndarray) -> ag.Tens
     return ag.bce_mean(model.forward(ag.Tensor(x)), labels)
 
 
-def _random_local_unitary(n: int, rng) -> np.ndarray:
-    locals_ = [u_gate(*rng.uniform(0.0, TAU, size=3)) for _ in range(n)]
-    return kron_all(list(reversed(locals_)))  # qubit n-1 factor first
-
-
 def locc_batch(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Conjugate every encoded state by the product unitary v."""
     m = x[:, 0] + 1j * x[:, 1]
@@ -222,15 +215,12 @@ def locc_batch(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def permute_batch(x: np.ndarray, perm) -> np.ndarray:
-    """Relabel qubits of every encoded state: qubit q moves to perm[q]."""
-    n = num_qubits(x.shape[-1])
-    idx = np.arange(1 << n)
-    new_idx = np.zeros_like(idx)
-    for q in range(n):
-        new_idx |= ((idx >> q) & 1) << perm[q]
-    out = np.empty_like(x)
-    out[:, :, new_idx[:, None], new_idx[None, :]] = x
-    return out
+    """Relabel qubits of every encoded state: qubit q moves to perm[q].
+
+    A name of its own so that the bench's tracer can time the Siamese
+    permutation step apart from other relabelings.
+    """
+    return permute_qubits(x, perm)
 
 
 def siamese_loss(
@@ -252,7 +242,7 @@ def siamese_loss(
     p_orig = model.forward(ag.Tensor(x))
     loss = ag.bce_mean(p_orig, labels)
     if lambda1 > 0:
-        v = _random_local_unitary(n, rng)
+        v = random_local_unitary(n, rng)
         p_locc = model.forward(ag.Tensor(locc_batch(x, v)))
         loss = loss + lambda1 * ag.mean(ag.absolute(p_orig - p_locc))
     if lambda2 > 0:
@@ -268,22 +258,17 @@ def siamese_loss(
 def save_model(model: CnnClassifier, path) -> None:
     """Checkpoint the parameters plus an architecture sidecar (key=value)."""
     ag.save_params(path, model.param_arrays())
-    with open(str(path) + ".arch", "w") as f:
-        for field in fields(ArchConfig):
-            value = field.type(getattr(model.arch, field.name))
-            f.write(f"{field.name}={value!r}\n")
+    arch = {f.name: f.type(getattr(model.arch, f.name)) for f in fields(ArchConfig)}
+    write_kv(str(path) + ".arch", arch)
 
 
 def load_model(path) -> CnnClassifier:
-    """Rebuild a checkpointed model; ValueError names a missing or bad sidecar key."""
+    """Rebuild a checkpointed model; ValueError names a missing or bad sidecar key.
+
+    A sidecar line without ``=`` raises DatasetFormatError (see ``read_kv``).
+    """
     sidecar = str(path) + ".arch"
-    entries = {}
-    with open(sidecar) as f:
-        for line in f:
-            line = line.strip()
-            if line and "=" in line:
-                k, v = line.split("=", 1)
-                entries[k] = v
+    entries = read_kv(sidecar)
     values = {}
     for field in fields(ArchConfig):
         if field.name not in entries:

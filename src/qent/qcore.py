@@ -99,13 +99,14 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
 
 
 def permute_qubits(rho: np.ndarray, perm) -> np.ndarray:
-    """Relabel qubits of a density matrix: qubit q moves to position perm[q].
+    """Relabel qubits of a matrix or a ``[..., K, K]`` stack: qubit q moves to perm[q].
 
     Both row and column basis indices are re-bitted, so the spectrum is
-    unchanged.  ``perm`` must be a bijection on ``range(n)``.
+    unchanged.  The input dtype is kept, so real channel stacks stay real.
+    ``perm`` must be a bijection on ``range(n)``.
     """
-    rho = np.asarray(rho, dtype=complex)
-    n = num_qubits(rho.shape[0])
+    rho = np.asarray(rho)
+    n = num_qubits(rho.shape[-1])
     perm = [int(p) for p in perm]
     if sorted(perm) != list(range(n)):
         raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
@@ -114,7 +115,7 @@ def permute_qubits(rho: np.ndarray, perm) -> np.ndarray:
     for q in range(n):
         new_idx |= ((idx >> q) & 1) << perm[q]
     out = np.empty_like(rho)
-    out[np.ix_(new_idx, new_idx)] = rho
+    out[..., new_idx[:, None], new_idx[None, :]] = rho
     return out
 
 

@@ -219,29 +219,34 @@ def w_state(n: int) -> np.ndarray:
     return psi
 
 
+def _random_local_gates(n: int, rng) -> list:
+    """One random single-qubit rotation per qubit, qubit 0 first."""
+    return [u_gate(p.theta, p.phi, p.lam) for p in (_random_u_params(rng) for _ in range(n))]
+
+
+def random_local_unitary(n: int, rng) -> np.ndarray:
+    """Product of independent random single-qubit rotations, as one 2**n unitary."""
+    return kron_all(list(reversed(_random_local_gates(n, rng))))  # qubit n-1 factor first
+
+
 def randomize_local(obj: np.ndarray, rng) -> np.ndarray:
     """Apply an independent random single-qubit rotation to every qubit.
 
     Accepts a state vector or a density matrix; a density matrix is
     conjugated by the product unitary, leaving its spectrum (and every
-    bipartite negativity) unchanged.
+    bipartite negativity) unchanged.  Both draw the same rotations from
+    the same ``rng`` state.
     """
     obj = np.asarray(obj, dtype=complex)
-    if obj.ndim == 1:
-        n = num_qubits(obj.shape[0])
-        for q in range(n):
-            p = _random_u_params(rng)
-            obj = apply_gate(obj, u_gate(p.theta, p.phi, p.lam), [q])
-        return obj
+    if obj.ndim not in (1, 2):
+        raise ValueError("expected a state vector or a density matrix")
+    n = num_qubits(obj.shape[0])
     if obj.ndim == 2:
-        n = num_qubits(obj.shape[0])
-        locals_ = []
-        for _ in range(n):
-            p = _random_u_params(rng)
-            locals_.append(u_gate(p.theta, p.phi, p.lam))
-        v = kron_all(list(reversed(locals_)))  # factor for qubit n-1 first
+        v = random_local_unitary(n, rng)
         return v @ obj @ v.conj().T
-    raise ValueError("expected a state vector or a density matrix")
+    for q, gate in enumerate(_random_local_gates(n, rng)):
+        obj = apply_gate(obj, gate, [q])
+    return obj
 
 
 @dataclass

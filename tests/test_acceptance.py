@@ -297,7 +297,7 @@ def test_11_reproducibility(tmp_path):
 
     def run(path):
         model = mdl.build_cnn(arch, seed=SEED)
-        cfg = mdl.TrainConfig(epochs=2, seed=SEED, batch_size=32, deterministic=True)
+        cfg = mdl.TrainConfig(epochs=2, seed=SEED, batch_size=32)
         hn.train_model(model, train, valid, cfg, kind="siamese")
         mdl.save_model(model, path)
         return hn.evaluate_accuracy(model, valid, "valid")

@@ -249,6 +249,23 @@ class TestPersistence:
         with pytest.raises(dsm.DatasetIntegrityError):
             dsm.load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "edit,key",
+        [
+            (lambda text: text.replace("section.pure_separable=80", "section.pure_separable=8x"),
+             "section.pure_separable"),
+            (lambda text: text.replace("section.mixed_separable_kron=", "section.mixed_separable_kron "),
+             "section.mixed_separable_kron"),
+        ],
+    )
+    def test_malformed_sidecar_names_key(self, small_train, tmp_path, edit, key):
+        path = tmp_path / "t.qent"
+        dsm.save_dataset(small_train, path)
+        side = path.with_name("t.qent.manifest")
+        side.write_text(edit(side.read_text()))
+        with pytest.raises(dsm.DatasetFormatError, match=key):
+            dsm.load_dataset(path)
+
     def test_manifest_must_match_states(self, small_train, tmp_path):
         broken = dsm.Dataset(small_train.manifest, small_train.states[:-1])
         with pytest.raises(dsm.DatasetIntegrityError):

@@ -5,13 +5,17 @@ and record the old and new values in CHANGES.md.  Corpus bytes come from
 the generators and the file format only.  Checkpoint bytes also depend on
 the rounding of the training arithmetic (conv2d, dense, Adam) and of the
 BLAS kernels underneath it; the pinned value is for OpenBLAS 0.3.31 on
-x86-64 with numpy 2.4.
+x86-64 with numpy 2.4.  It does not depend on the BLAS thread count.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qent
 from qent import dataset as dsm
 from qent import harness as hn
 from qent import model as mdl
@@ -90,12 +94,50 @@ def test_set_digest(name, tmp_path):
     assert (sha256(path), sha256(path.with_name(path.name + ".manifest"))) == SET_SHA256[name]
 
 
-def test_checkpoint_digest(corpus, tmp_path):
+def train_tiny_checkpoint(corpus, ckpt) -> None:
+    """Train the pinned tiny-arch model on ``corpus`` and save it to ``ckpt``."""
     arch = mdl.ArchConfig(n_qubits=3, r1=4.0, fc_layers=2, fc_units=16)
     model = mdl.build_cnn(arch, seed=22)
     cfg = mdl.TrainConfig(epochs=2, seed=22, batch_size=32)
     hn.train_model(model, dsm.load_dataset(corpus), None, cfg, kind="cnn")
-    ckpt = tmp_path / "tiny.ckpt"
     mdl.save_model(model, ckpt)
+
+
+def test_checkpoint_digest(corpus, tmp_path):
+    ckpt = tmp_path / "tiny.ckpt"
+    train_tiny_checkpoint(corpus, ckpt)
     assert sha256(ckpt) == CHECKPOINT_SHA256
     assert sha256(ckpt.with_name(ckpt.name + ".arch")) == ARCH_SHA256
+
+
+# Trains in a fresh interpreter, then prints the thread count numpy's
+# bundled OpenBLAS reports (nothing when the library is not found).
+_TRAIN_AND_REPORT = """
+import ctypes, glob, os, sys
+import numpy as np
+from test_digests import train_tiny_checkpoint
+train_tiny_checkpoint(sys.argv[1], sys.argv[2])
+libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*")
+for lib in glob.glob(libs):
+    fn = getattr(ctypes.CDLL(lib), "scipy_openblas_get_num_threads64_", None)
+    if fn is not None:
+        print(fn())
+"""
+
+
+def test_checkpoint_independent_of_blas_threads(corpus, tmp_path):
+    """The thread count is fixed by OPENBLAS_NUM_THREADS before numpy loads."""
+    paths = [os.path.dirname(os.path.dirname(qent.__file__)), os.path.dirname(__file__)]
+    digests = []
+    for threads in (1, 2):
+        ckpt = tmp_path / f"tiny{threads}.ckpt"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(paths))
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRAIN_AND_REPORT, str(corpus), str(ckpt)],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        # OpenBLAS caps its pool at the CPUs this process may run on.
+        want = min(threads, len(os.sched_getaffinity(0)))
+        assert proc.stdout.split() in ([], [str(want)])
+        digests.append(sha256(ckpt))
+    assert digests[0] == digests[1]

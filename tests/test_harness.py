@@ -93,13 +93,13 @@ class TestConvNeg:
         _, mixed = mixed_sets
         _, _, negs = mixed.arrays()
         model = _FixedModel((negs > ent.NPT_THRESHOLD).astype(float))
-        assert hn.conv_neg(model, mixed) == 1.0
+        assert hn.evaluate_accuracy(model, mixed).conv_neg == 1.0
 
     def test_inverted_indicator_scores_zero(self, mixed_sets):
         _, mixed = mixed_sets
         _, _, negs = mixed.arrays()
         model = _FixedModel(1.0 - (negs > ent.NPT_THRESHOLD).astype(float))
-        assert hn.conv_neg(model, mixed) == 0.0
+        assert hn.evaluate_accuracy(model, mixed).conv_neg == 0.0
 
     def test_equals_accuracy_on_negativity_consistent_labels(self, mixed_sets):
         _, mixed = mixed_sets
@@ -110,7 +110,7 @@ class TestConvNeg:
     def test_bounded(self, mixed_sets):
         pure, _ = mixed_sets
         model = mdl.build_cnn(tiny_arch(), seed=6)
-        v = hn.conv_neg(model, pure)
+        v = hn.evaluate_accuracy(model, pure).conv_neg
         assert 0.0 <= v <= 1.0
 
 
@@ -198,6 +198,28 @@ class TestTraining:
         res = hn.train_model(model, train, valid, cfg, kind="cnn")
         assert len(res.val_accuracies) == 3
         assert res.best_epoch == int(np.argmax(res.val_accuracies))
+
+    @pytest.mark.parametrize("kind", ["cnn", "siamese"])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_one_epoch_smoke(self, n, kind):
+        train = dsm.build_training_set(n, "negativity", 0.0002, seed=58)
+        valid = dsm.build_validation_set(n, 0.0002, seed=58)
+        model = mdl.build_cnn(tiny_arch(n), seed=13)
+        cfg = mdl.TrainConfig(epochs=1, seed=13, batch_size=32)
+        res = hn.train_model(model, train, valid, cfg, kind=kind)
+        assert len(res.step_losses) == -(-len(train) // 32)
+        assert np.all(np.isfinite(res.step_losses))
+        assert len(res.val_accuracies) == 1 and res.best_epoch == 0
+
+        m = ent.num_bipartitions(n)
+        report = hn.evaluate_accuracy(model, valid, "valid", combined=True)
+        assert (report.num_samples, report.num_bipartitions) == (len(valid), m)
+        assert len(report.per_bipartition) == m
+        assert all(bp.total == len(valid) for bp in report.per_bipartition)
+        for value in (report.accuracy, report.conv_neg, report.npt_fraction):
+            assert 0.0 <= value <= 1.0
+        assert report.probabilities.shape == (len(valid), m)
+        assert np.all(np.isfinite(report.probabilities))
 
     def test_qubit_mismatch_rejected(self):
         ds = dsm.build_training_set(3, "negativity", 0.0003, seed=58)

@@ -4,7 +4,7 @@ import pytest
 from qent import autograd as ag
 from qent import entanglement as ent
 from qent import model as mdl
-from qent import qcore, stategen as sg
+from qent import stategen as sg
 
 
 def small_arch(n=3):
@@ -175,7 +175,7 @@ class TestLosses:
     def test_locc_batch_is_unitary_conjugation(self, batch):
         x, _ = batch
         rng = np.random.default_rng(6)
-        v = mdl._random_local_unitary(3, rng)
+        v = sg.random_local_unitary(3, rng)
         out = mdl.locc_batch(x, v)
         direct = v @ mdl.decode_input(x[0]) @ v.conj().T
         assert np.max(np.abs(mdl.decode_input(out[0]) - direct)) < 1e-12
@@ -214,13 +214,3 @@ class TestCheckpointing:
         sidecar.write_text(edit(sidecar.read_text()))
         with pytest.raises(ValueError, match=key):
             mdl.load_model(path)
-
-    def test_permute_batch_matches_qcore(self):
-        rng = np.random.default_rng(8)
-        rhos = np.stack([sg.kron_separable_mixed(3, rng) for _ in range(3)])
-        x = mdl.encode_batch(rhos)
-        perm = [2, 0, 1]
-        out = mdl.permute_batch(x, perm)
-        for i in range(3):
-            want = qcore.permute_qubits(rhos[i], perm)
-            assert np.max(np.abs(mdl.decode_input(out[i]) - want)) < 1e-14

@@ -184,6 +184,19 @@ class TestPermuteQubits:
         with pytest.raises(ValueError):
             qcore.permute_qubits(rho, [0, 0])
 
+    def test_channel_stack_keeps_dtype(self):
+        rng = np.random.default_rng(8)
+        rhos = np.stack([random_density(3, rng) for _ in range(3)])
+        x = np.stack([rhos.real, rhos.imag], axis=1)  # [B, 2, K, K] float64
+        perm = [2, 0, 1]
+        out = qcore.permute_qubits(x, perm)
+        assert out.dtype == np.float64 and out.shape == x.shape
+        for i in range(3):
+            for c in range(2):
+                assert np.array_equal(out[i, c], qcore.permute_qubits(x[i, c], perm))
+            want = qcore.permute_qubits(rhos[i], perm)
+            assert np.array_equal(out[i, 0] + 1j * out[i, 1], want)
+
 
 class TestValidation:
     def test_accepts_valid_state(self):
