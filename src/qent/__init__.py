@@ -13,7 +13,6 @@ from .qcore import (
     partial_trace,
     permute_qubits,
     validate_density_matrix,
-    validate_state_vector,
 )
 from .stategen import (
     CircuitOp,
@@ -37,7 +36,6 @@ from .entanglement import (
     Bipartition,
     acin_state,
     enumerate_bipartitions,
-    filter_verified,
     horodecki_state,
     label_by_negativity,
     label_weakly,
@@ -68,7 +66,6 @@ from .model import (
     TrainConfig,
     build_cnn,
     cnn_loss,
-    encode_input,
     load_model,
     predict,
     save_model,

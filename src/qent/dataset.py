@@ -13,6 +13,7 @@ for identical build parameters regardless of generation order.
 
 import struct
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from . import entanglement as ent
 from . import stategen as sg
 from .qcore import kron_all
 from .qcore import num_qubits as dim_to_qubits
+from .qcore import validate_density_matrix
 from .rng import seeded_rng
 
 FORMAT_VERSION = 1
@@ -47,23 +49,6 @@ GEN_PPTES_HORODECKI = 10
 GEN_PPTES_ACIN = 11
 GEN_PPTES_UPB = 12
 GEN_PURE_SEP_PRODUCT = 13
-
-GENERATOR_NAMES = {
-    GEN_PURE_SEP_CIRCUIT: "pure_sep_circuit",
-    GEN_PURE_ENT_CIRCUIT: "pure_ent_circuit",
-    GEN_PURE_HAAR: "pure_haar",
-    GEN_PURE_GHZ: "pure_ghz",
-    GEN_PURE_W: "pure_w",
-    GEN_MIXED_SEP_MIXTURE: "mixed_sep_mixture",
-    GEN_MIXED_SEP_KRON: "mixed_sep_kron",
-    GEN_MIXED_DEF_CIRCUIT: "mixed_def_circuit",
-    GEN_MIXED_DEF_HAAR: "mixed_def_haar",
-    GEN_MIXED_TRACED: "mixed_traced",
-    GEN_PPTES_HORODECKI: "pptes_horodecki",
-    GEN_PPTES_ACIN: "pptes_acin",
-    GEN_PPTES_UPB: "pptes_upb",
-    GEN_PURE_SEP_PRODUCT: "pure_sep_product",
-}
 
 PPTES_GEN = {
     "horodecki": GEN_PPTES_HORODECKI,
@@ -185,27 +170,81 @@ class DatasetManifest:
         return sum(self.sections.values())
 
 
+# Dataset columns, in v1 record order.
+COLUMNS = ("channels", "labels", "negs", "generator", "d", "mask")
+
+
 @dataclass
 class Dataset:
+    """A corpus as columns; row i of every column belongs to sample i.
+
+    ``channels`` [N, 2, K, K] float64 holds the real and imaginary planes of
+    each density matrix, the layout the classifier reads.  ``labels`` [N, m]
+    uint8 and ``negs`` [N, m] float64 hold the per-cut labels and
+    negativities; ``generator`` (uint8), ``d`` (uint16) and ``mask`` (uint32,
+    the gate-pair bitmask) hold the provenance.
+    """
+
     manifest: DatasetManifest
-    states: list
+    channels: np.ndarray
+    labels: np.ndarray
+    negs: np.ndarray
+    generator: np.ndarray
+    d: np.ndarray
+    mask: np.ndarray
+
+    @classmethod
+    def from_states(cls, manifest: DatasetManifest, states) -> "Dataset":
+        """Stack per-sample records into columns, in order."""
+        count, k = len(states), 1 << manifest.num_qubits
+        m = ent.num_bipartitions(manifest.num_qubits)
+        rhos = np.array([s.rho for s in states], dtype=complex).reshape(count, k, k)
+        provs = [s.provenance for s in states]
+        return cls(
+            manifest,
+            np.stack([rhos.real, rhos.imag], axis=1),
+            np.array([s.labels for s in states], dtype=np.uint8).reshape(count, m),
+            np.array([s.neg_values for s in states], dtype=np.float64).reshape(count, m),
+            np.array([p.generator for p in provs], dtype=np.uint8),
+            np.array([p.d for p in provs], dtype=np.uint16),
+            np.array([p.cu_pairs_mask for p in provs], dtype=np.uint32),
+        )
 
     def __len__(self):
-        return len(self.states)
+        return len(self.labels)
 
     @property
     def num_qubits(self) -> int:
         return self.manifest.num_qubits
 
-    def arrays(self) -> tuple:
-        """Stacked (rhos, labels, negativities) arrays for batch consumers."""
-        rhos = np.stack([s.rho for s in self.states])
-        labels = np.stack([s.labels for s in self.states])
-        negs = np.stack([s.neg_values for s in self.states])
-        return rhos, labels, negs
+    @property
+    def states(self) -> "StateView":
+        return StateView(self)
 
-    def generators(self) -> np.ndarray:
-        return np.array([s.provenance.generator for s in self.states], dtype=np.uint8)
+    def arrays(self) -> tuple:
+        """(complex rhos, labels, negativities) arrays, copied from the columns."""
+        rhos = np.empty((len(self),) + self.channels.shape[2:], dtype=complex)
+        rhos.real, rhos.imag = self.channels[:, 0], self.channels[:, 1]
+        return rhos, self.labels.copy(), self.negs.copy()
+
+
+class StateView(Sequence):
+    """Read-only sequence over a Dataset's rows; ``[i]`` builds LabeledState i only."""
+
+    def __init__(self, ds: Dataset):
+        self._ds = ds
+
+    def __len__(self):
+        return len(self._ds)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        ds, i = self._ds, range(len(self))[i]
+        rho = np.empty(ds.channels.shape[2:], dtype=complex)
+        rho.real, rho.imag = ds.channels[i]
+        prov = Provenance(int(ds.generator[i]), int(ds.d[i]), int(ds.mask[i]))
+        return LabeledState(rho, ds.labels[i].copy(), ds.negs[i].copy(), prov)
 
 
 # --- section generators ----------------------------------------------------
@@ -376,7 +415,7 @@ def _build_sections(n_qubits, strategy, scale, seed, set_tag, plan) -> Dataset:
         sections[name] = count
         for i in range(count):
             states.append(make(seeded_rng(seed, set_tag, tag, i)))
-    return Dataset(DatasetManifest(n_qubits, strategy, sections, seed), states)
+    return Dataset.from_states(DatasetManifest(n_qubits, strategy, sections, seed), states)
 
 
 def _build_table_set(n_qubits, strategy, scale, seed, set_tag) -> Dataset:
@@ -463,7 +502,7 @@ def build_pptes_testset(family: str, count: int, seed: int, n_qubits: int = 3) -
     """A persistable corpus wrapping :func:`make_pptes_testset`."""
     states = make_pptes_testset(family, count, seeded_rng(seed, _SET_PPTES, PPTES_GEN[family]), n_qubits)
     manifest = DatasetManifest(n_qubits, "family", {f"pptes_{family}": count}, seed)
-    return Dataset(manifest, states)
+    return Dataset.from_states(manifest, states)
 
 
 def build_pptes_extension(scale: float, seed: int) -> Dataset:
@@ -480,53 +519,45 @@ def build_pptes_extension(scale: float, seed: int) -> Dataset:
             states += make_pptes_testset(
                 family, count, seeded_rng(seed, _SET_EXTENSION, 100 + tag), 3
             )
-    return Dataset(DatasetManifest(3, "family", sections, seed), states)
+    return Dataset.from_states(DatasetManifest(3, "family", sections, seed), states)
 
 
 # --- binary persistence ----------------------------------------------------
 
 _HEADER = struct.Struct("<4sIBBQQ")
-_PROV = struct.Struct("<BHI")
+_SIDECAR_KEYS = ("format_version", "num_qubits", "strategy", "master_seed", "count")
 
 
-def _record_size(n: int) -> int:
-    k = 1 << n
-    m = ent.num_bipartitions(n)
-    return 2 * k * k * 8 + m + 8 * m + _PROV.size
+def _record_dtype(n: int) -> np.dtype:
+    """One packed v1 record: planes, labels, negativities, provenance."""
+    k, m = 1 << n, ent.num_bipartitions(n)
+    formats = (("<f8", (2, k, k)), ("u1", (m,)), ("<f8", (m,)), ("u1", ()), ("<u2", ()), ("<u4", ()))
+    return np.dtype([(name, *fmt) for name, fmt in zip(COLUMNS, formats)])
 
 
 def save_dataset(ds: Dataset, path) -> None:
     """Write the corpus (binary, crc-tailed) plus a human-readable manifest sidecar."""
     man = ds.manifest
-    if len(ds.states) != man.count:
-        raise DatasetIntegrityError(
-            f"manifest says {man.count} states, dataset holds {len(ds.states)}"
-        )
-    chunks = [
-        _HEADER.pack(
-            MAGIC,
-            man.format_version,
-            man.num_qubits,
-            _STRATEGY_CODES[man.strategy],
-            man.count,
-            man.master_seed,
-        )
-    ]
-    for s in ds.states:
-        if s.num_qubits != man.num_qubits:
-            raise DatasetIntegrityError("state qubit count differs from manifest")
-        chunks.append(np.ascontiguousarray(s.rho.real, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(s.rho.imag, dtype="<f8").tobytes())
-        chunks.append(s.labels.astype("<u1").tobytes())
-        chunks.append(s.neg_values.astype("<f8").tobytes())
-        p = s.provenance
-        chunks.append(_PROV.pack(p.generator, p.d, p.cu_pairs_mask))
-    blob = b"".join(chunks)
+    if len(ds) != man.count:
+        raise DatasetIntegrityError(f"manifest says {man.count} states, dataset holds {len(ds)}")
+    k = 1 << man.num_qubits
+    if ds.channels.shape[1:] != (2, k, k):
+        raise DatasetIntegrityError("state qubit count differs from manifest")
+    records = np.empty(len(ds), dtype=_record_dtype(man.num_qubits))
+    for name in COLUMNS:
+        records[name] = getattr(ds, name)
+    blob = _HEADER.pack(
+        MAGIC,
+        man.format_version,
+        man.num_qubits,
+        _STRATEGY_CODES[man.strategy],
+        man.count,
+        man.master_seed,
+    ) + records.tobytes()
     with open(path, "wb") as f:
         f.write(blob)
         f.write(struct.pack("<I", zlib.crc32(blob)))
-    keys = ("format_version", "num_qubits", "strategy", "master_seed", "count")
-    side = {k: getattr(man, k) for k in keys}
+    side = {key: getattr(man, key) for key in _SIDECAR_KEYS}
     side.update((f"section.{name}", c) for name, c in man.sections.items())
     write_kv(str(path) + ".manifest", side)
 
@@ -556,8 +587,46 @@ def read_kv(path) -> dict:
     return out
 
 
+def _sidecar_int(sidecar, key, value) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise DatasetFormatError(f"{sidecar}: {key}={value!r} is not an integer") from None
+
+
+def _sidecar_sections(path, header: dict) -> dict:
+    """Section counts from the ``.manifest`` sidecar, checked against the header.
+
+    A missing sidecar gives one section ``all``.  A header key whose value
+    differs from ``header`` raises DatasetIntegrityError naming the key.
+    """
+    sidecar = str(path) + ".manifest"
+    try:
+        side = read_kv(sidecar)
+    except OSError:
+        side = {}
+    sections = {}
+    for key, v in side.items():
+        if key.startswith("section."):
+            sections[key[len("section."):]] = _sidecar_int(sidecar, key, v)
+        elif key in header:
+            got = v if key == "strategy" else _sidecar_int(sidecar, key, v)
+            if got != header[key]:
+                raise DatasetIntegrityError(f"{sidecar}: {key}={v!r}, header says {header[key]!r}")
+    if sections and sum(sections.values()) != header["count"]:
+        raise DatasetIntegrityError(
+            f"{path}: sidecar sections sum to {sum(sections.values())}, header says {header['count']}"
+        )
+    return sections or {"all": header["count"]}
+
+
 def load_dataset(path) -> Dataset:
-    """Read a corpus back; raises a distinct error per corruption mode."""
+    """Read a corpus back; raises a distinct error per corruption mode.
+
+    Density matrices that are not Hermitian, unit-trace and positive
+    semidefinite raise DatasetIntegrityError.  Labels and negativities are
+    returned as stored.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < _HEADER.size + 4:
@@ -572,7 +641,8 @@ def load_dataset(path) -> Dataset:
         raise DatasetFormatError(f"{path}: unknown strategy code {strat_code}")
     if not 2 <= n <= 8:
         raise DatasetFormatError(f"{path}: implausible qubit count {n}")
-    expected = _HEADER.size + count * _record_size(n) + 4
+    record = _record_dtype(n)
+    expected = _HEADER.size + count * record.itemsize + 4
     if len(raw) < expected:
         raise DatasetTruncatedError(
             f"{path}: {len(raw)} bytes, need {expected} for {count} records"
@@ -580,46 +650,19 @@ def load_dataset(path) -> Dataset:
     if len(raw) > expected:
         raise DatasetIntegrityError(f"{path}: {len(raw) - expected} trailing bytes")
     (crc_stored,) = struct.unpack_from("<I", raw, expected - 4)
-    if zlib.crc32(raw[: expected - 4]) != crc_stored:
+    if zlib.crc32(memoryview(raw)[: expected - 4]) != crc_stored:
         raise DatasetChecksumError(f"{path}: checksum mismatch")
 
-    k = 1 << n
-    m = ent.num_bipartitions(n)
-    states = []
-    off = _HEADER.size
-    for _ in range(count):
-        real = np.frombuffer(raw, dtype="<f8", count=k * k, offset=off).reshape(k, k)
-        off += k * k * 8
-        imag = np.frombuffer(raw, dtype="<f8", count=k * k, offset=off).reshape(k, k)
-        off += k * k * 8
-        labels = np.frombuffer(raw, dtype="<u1", count=m, offset=off).copy()
-        off += m
-        negs = np.frombuffer(raw, dtype="<f8", count=m, offset=off).copy()
-        off += 8 * m
-        gen, d, mask = _PROV.unpack_from(raw, off)
-        off += _PROV.size
-        states.append(
-            LabeledState(real + 1j * imag, labels, negs, Provenance(gen, d, mask))
-        )
-
-    sections = {"all": count}
-    sidecar = str(path) + ".manifest"
+    strategy = _STRATEGY_NAMES[strat_code]
+    header = dict(zip(_SIDECAR_KEYS, (version, n, strategy, master_seed, count)))
+    sections = _sidecar_sections(path, header)
+    records = np.frombuffer(raw, dtype=record, count=count, offset=_HEADER.size)
+    ds = Dataset(
+        DatasetManifest(n, strategy, sections, master_seed),
+        *(records[name].copy() for name in COLUMNS),
+    )
     try:
-        side = read_kv(sidecar)
-    except OSError:
-        side = {}
-    parsed = {}
-    for key, v in side.items():
-        if key.startswith("section."):
-            try:
-                parsed[key[len("section."):]] = int(v)
-            except ValueError:
-                raise DatasetFormatError(f"{sidecar}: {key}={v!r} is not an integer") from None
-    if parsed:
-        if sum(parsed.values()) != count:
-            raise DatasetIntegrityError(
-                f"{path}: sidecar sections sum to {sum(parsed.values())}, header says {count}"
-            )
-        sections = parsed
-    manifest = DatasetManifest(n, _STRATEGY_NAMES[strat_code], sections, master_seed)
-    return Dataset(manifest, states)
+        validate_density_matrix(ds.channels[:, 0] + 1j * ds.channels[:, 1])
+    except ValueError as exc:
+        raise DatasetIntegrityError(f"{path}: {exc}") from None
+    return ds

@@ -179,22 +179,6 @@ def label_weakly(rho: np.ndarray, circuit, surviving_qubits=None) -> tuple:
     return labels, negs
 
 
-def filter_verified(states) -> list:
-    """Keep only states whose entangled-intent labels are all certified NPT.
-
-    Works on any records exposing ``labels`` and ``neg_values``; a record is
-    dropped as soon as one bipartition labeled entangled fails to show a
-    genuinely negative partial-transpose eigenvalue.
-    """
-    kept = []
-    for s in states:
-        labels = np.asarray(s.labels)
-        negs = np.asarray(s.neg_values)
-        if np.all(negs[labels == 1] > NPT_THRESHOLD):
-            kept.append(s)
-    return kept
-
-
 def permuted_bipartition_index(j: int, perm, n: int) -> int:
     """Canonical index of a bipartition's image under a qubit permutation.
 

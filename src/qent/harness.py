@@ -87,8 +87,8 @@ def evaluate_accuracy(
     they certify entanglement.
     """
     t0 = time.perf_counter()
-    rhos, labels, negs = ds.arrays()
-    probs = mdl.predict_encoded(model, mdl.encode_batch(rhos), batch_size)
+    labels, negs = ds.labels, ds.negs
+    probs = mdl.predict_encoded(model, ds.channels, batch_size)
     preds = _threshold(probs)
     if combined:
         preds = np.maximum(preds, _neg_indicator(negs))
@@ -136,16 +136,12 @@ def pptes_eval_mask(ds: dsm.Dataset) -> np.ndarray:
     Defining cuts of the family always count; other cuts count only when the
     stored negativity certifies them.
     """
-    _, _, negs = ds.arrays()
-    gens = ds.generators()
-    fam_by_gen = {v: k for k, v in dsm.PPTES_GEN.items()}
-    mask = _neg_indicator(negs).astype(bool)
-    for i, g in enumerate(gens):
-        fam = fam_by_gen.get(int(g))
-        if fam is None:
-            mask[i, :] = True  # not a family state: trust its labels
-        else:
-            mask[i] |= ent.pptes_defining_labels(fam, ds.num_qubits).astype(bool)
+    mask = _neg_indicator(ds.negs).astype(bool)
+    for fam, gen in dsm.PPTES_GEN.items():
+        rows = ds.generator == gen
+        if rows.any():
+            mask[rows] |= ent.pptes_defining_labels(fam, ds.num_qubits).astype(bool)
+    mask[~np.isin(ds.generator, list(dsm.PPTES_GEN.values()))] = True  # not a family state
     return mask
 
 
@@ -182,13 +178,11 @@ def train_model(
             f"model is for {model.n_qubits} qubits, data for {train_ds.num_qubits}"
         )
     t0 = time.perf_counter()
-    rhos, labels, _ = train_ds.arrays()
-    x_all = mdl.encode_batch(rhos)
-    q_all = labels.astype(np.float64)
+    x_all = train_ds.channels
+    q_all = train_ds.labels.astype(np.float64)
     x_val = q_val = None
     if valid_ds is not None:
-        v_rhos, v_labels, _ = valid_ds.arrays()
-        x_val, q_val = mdl.encode_batch(v_rhos), v_labels
+        x_val, q_val = valid_ds.channels, valid_ds.labels
 
     shuffle_rng = seeded_rng(cfg.seed, _STREAM_SHUFFLE)
     siam_rng = seeded_rng(cfg.seed, _STREAM_SIAMESE)
@@ -337,7 +331,7 @@ def concat_datasets(a: dsm.Dataset, b: dsm.Dataset) -> dsm.Dataset:
     man = dsm.DatasetManifest(
         a.num_qubits, a.manifest.strategy, sections, a.manifest.master_seed
     )
-    return dsm.Dataset(man, list(a.states) + list(b.states))
+    return dsm.Dataset(man, *(np.concatenate([getattr(a, c), getattr(b, c)]) for c in dsm.COLUMNS))
 
 
 def run_experiment(plan: ExperimentPlan) -> ExperimentResult:

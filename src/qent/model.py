@@ -166,16 +166,6 @@ def build_cnn(cfg: ArchConfig, seed: int = 0) -> CnnClassifier:
     return CnnClassifier(cfg, seed)
 
 
-def encode_input(rho: np.ndarray) -> np.ndarray:
-    """Split a density matrix into [2, K, K] real/imaginary channels."""
-    rho = np.asarray(rho, dtype=complex)
-    return np.stack([rho.real, rho.imag])
-
-
-def decode_input(channels: np.ndarray) -> np.ndarray:
-    return channels[0] + 1j * channels[1]
-
-
 def encode_batch(rhos) -> np.ndarray:
     """[B, 2, K, K] channel batch from a stack or list of density matrices."""
     rhos = np.asarray(rhos, dtype=complex)

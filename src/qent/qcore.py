@@ -14,7 +14,6 @@ Conventions used across the whole package:
 import numpy as np
 
 # Validation tolerances (matrices are at most 32 x 32 here).
-NORM_ATOL = 1e-12
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 PSD_SLACK = 1e-9
@@ -119,31 +118,22 @@ def permute_qubits(rho: np.ndarray, perm) -> np.ndarray:
     return out
 
 
-def validate_state_vector(psi: np.ndarray) -> None:
-    """Raise ValueError unless psi is a finite unit vector of dimension 2**n."""
-    psi = np.asarray(psi)
-    if psi.ndim != 1:
-        raise ValueError(f"state vector must be 1-D, got shape {psi.shape}")
-    num_qubits(psi.shape[0])
-    if not np.all(np.isfinite(psi.view(float))):
-        raise ValueError("state vector has non-finite entries")
-    norm_sq = float(np.sum(np.abs(psi) ** 2))
-    if abs(norm_sq - 1.0) > NORM_ATOL * 10:
-        raise ValueError(f"state vector squared norm {norm_sq} != 1")
-
-
 def validate_density_matrix(rho: np.ndarray) -> None:
-    """Raise ValueError unless rho is Hermitian, unit-trace and PSD (with slack)."""
+    """Raise ValueError unless rho is Hermitian, unit-trace and PSD (with slack).
+
+    A ``[..., K, K]`` stack is checked matrix by matrix in one pass.
+    """
     rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    num_qubits(rho.shape[0])
-    if not np.all(np.isfinite(rho.view(float))):
+    num_qubits(rho.shape[-1])
+    if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix has non-finite entries")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_ATOL:
+    if np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj()), initial=0.0) > HERMITICITY_ATOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    tr = complex(np.trace(rho))
-    if abs(tr.imag) > TRACE_ATOL or abs(tr.real - 1.0) > TRACE_ATOL:
-        raise ValueError(f"density matrix trace {tr} != 1")
-    if float(np.linalg.eigvalsh(rho)[0]) < -PSD_SLACK:
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    bad = (np.abs(tr.imag) > TRACE_ATOL) | (np.abs(tr.real - 1.0) > TRACE_ATOL)
+    if np.any(bad):
+        raise ValueError(f"density matrix trace {complex(tr[bad].flat[0])} != 1")
+    if np.any(np.linalg.eigvalsh(rho)[..., 0] < -PSD_SLACK):
         raise ValueError("density matrix has a negative eigenvalue beyond slack")

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -171,6 +174,46 @@ class TestPptesSets:
             qcore.validate_density_matrix(s.rho)
 
 
+class TestColumns:
+    def test_columns_shapes_and_dtypes(self, small_train):
+        n = len(small_train)
+        assert small_train.channels.shape == (n, 2, 8, 8) and small_train.channels.dtype == np.float64
+        assert small_train.labels.shape == (n, 3) and small_train.labels.dtype == np.uint8
+        assert small_train.negs.shape == (n, 3) and small_train.negs.dtype == np.float64
+        for name, dtype in (("generator", np.uint8), ("d", np.uint16), ("mask", np.uint32)):
+            assert getattr(small_train, name).shape == (n,)
+            assert getattr(small_train, name).dtype == dtype
+
+    def test_arrays_keep_every_bit_of_the_planes(self, small_train):
+        rhos, labels, negs = small_train.arrays()
+        planes = np.stack([rhos.real, rhos.imag], axis=1)
+        assert np.array_equal(planes.view(np.uint64), small_train.channels.view(np.uint64))
+        assert np.array_equal(labels, small_train.labels)
+        assert np.array_equal(negs, small_train.negs)
+
+    def test_states_view_builds_rows(self, small_train):
+        rhos, labels, negs = small_train.arrays()
+        view = small_train.states
+        assert len(view) == len(small_train)
+        for i in (0, 7, -1):
+            s = view[i]
+            assert np.array_equal(s.rho, rhos[i])
+            assert np.array_equal(s.labels, labels[i]) and np.array_equal(s.neg_values, negs[i])
+            assert s.provenance == dsm.Provenance(
+                int(small_train.generator[i]), int(small_train.d[i]), int(small_train.mask[i])
+            )
+        assert [s.provenance for s in view[2:5]] == [view[j].provenance for j in (2, 3, 4)]
+        with pytest.raises(IndexError):
+            view[len(small_train)]
+        with pytest.raises(TypeError):
+            view[0] = view[1]
+
+    def test_from_states_round_trips_the_view(self, small_train):
+        again = dsm.Dataset.from_states(small_train.manifest, list(small_train.states))
+        for name in dsm.COLUMNS:
+            assert np.array_equal(getattr(again, name), getattr(small_train, name))
+
+
 class TestPersistence:
     def test_round_trip_exact(self, small_train, tmp_path):
         path = tmp_path / "t.qent"
@@ -266,7 +309,54 @@ class TestPersistence:
         with pytest.raises(dsm.DatasetFormatError, match=key):
             dsm.load_dataset(path)
 
+    def test_record_dtype_is_v1_record(self):
+        assert [dsm._record_dtype(n).itemsize for n in (3, 4, 5)] == [1058, 4166, 16526]
+
+    @pytest.mark.parametrize(
+        "edits,error,key",
+        [
+            ({"format_version": "2"}, dsm.DatasetIntegrityError, "format_version"),
+            ({"num_qubits": "4"}, dsm.DatasetIntegrityError, "num_qubits"),
+            ({"strategy": "weakly"}, dsm.DatasetIntegrityError, "strategy"),
+            ({"master_seed": "99"}, dsm.DatasetIntegrityError, "master_seed"),
+            ({"count": "4"}, dsm.DatasetIntegrityError, "count"),
+            ({"strategy": "weakly", "num_qubits": "5", "master_seed": "99"},
+             dsm.DatasetIntegrityError, "num_qubits"),
+            ({"format_version": "v1"}, dsm.DatasetFormatError, "format_version"),
+            ({"num_qubits": "3.0"}, dsm.DatasetFormatError, "num_qubits"),
+            ({"master_seed": "x"}, dsm.DatasetFormatError, "master_seed"),
+            ({"count": ""}, dsm.DatasetFormatError, "count"),
+        ],
+    )
+    def test_sidecar_must_match_header(self, tmp_path, edits, error, key):
+        path = tmp_path / "u.qent"
+        dsm.save_dataset(dsm.build_pptes_testset("upb", 3, seed=12), path)
+        side = path.with_name("u.qent.manifest")
+        dsm.write_kv(side, {**dsm.read_kv(side), **edits})
+        with pytest.raises(error, match=rf"{key}="):
+            dsm.load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "edit,match",
+        [
+            (lambda planes: planes[0].__imul__(2.0), "trace"),  # every entry doubled: trace 2
+            (lambda planes: planes[0, 0].__setitem__(1, planes[0, 0, 1] + 0.1), "Hermitian"),
+        ],
+    )
+    def test_loaded_matrices_validated(self, small_train, tmp_path, edit, match):
+        """A CRC-valid file whose first record is no density matrix raises."""
+        path = tmp_path / "t.qent"
+        dsm.save_dataset(small_train, path)
+        raw = bytearray(path.read_bytes()[:-4])
+        at = dsm._HEADER.size
+        planes = np.frombuffer(raw, "<f8", count=2 * 64, offset=at).reshape(2, 8, 8).copy()
+        edit(planes)
+        raw[at : at + planes.nbytes] = planes.tobytes()
+        path.write_bytes(bytes(raw) + struct.pack("<I", zlib.crc32(raw)))
+        with pytest.raises(dsm.DatasetIntegrityError, match=match):
+            dsm.load_dataset(path)
+
     def test_manifest_must_match_states(self, small_train, tmp_path):
-        broken = dsm.Dataset(small_train.manifest, small_train.states[:-1])
+        broken = dsm.Dataset.from_states(small_train.manifest, small_train.states[:-1])
         with pytest.raises(dsm.DatasetIntegrityError):
             dsm.save_dataset(broken, tmp_path / "x.qent")

@@ -28,7 +28,9 @@ ARCH_SHA256 = "ff7be69d38d7231770e350bcca8df27036d2cb33dbc3239caade93c541768520"
 # (corpus, manifest) digests of further sets, all seed 21: the 3-qubit pure
 # and mixed test sets and the PPTES sets (count 10) at 3 qubits, plus a
 # 4-qubit negativity training set (scale 0.001) and a 5-qubit Horodecki set
-# (count 5), whose labels come from 16x16 and 32x32 partial transposes.
+# (count 5), whose labels come from 16x16 and 32x32 partial transposes, the
+# 5-qubit pure and mixed test sets (scale 0.0002) and the family retraining
+# extension (scale 0.0002).
 SET_SHA256 = {
     "test_pure3": (
         "b2eca9d2e7fcea8aa1a9008dcee7d4c898d2f69cce96d5da507acaf121eaae40",
@@ -58,6 +60,18 @@ SET_SHA256 = {
         "a8f9267451305fec2343d2c9cd0575f4ac5abb512141f1560e977452bc2eebcd",
         "50b72bb2d2aaca6bd9d3fdbd7834da942b296e90c370f437063b73a17f252c27",
     ),
+    "test_pure5": (
+        "4df320bde3f71809acf62a0566cdfcf59154119118cb9a055b995ef9703db9fa",
+        "afc53c58092c741a9c9d3afc42aef1bf864422d40ec18c012e6827e2e0d226f3",
+    ),
+    "test_mixed5": (
+        "a407c29155767ef3197d17bc5d0e5f90822cb019d07b4b15539b4ec6c93119d7",
+        "4f56735564e571fcee7489ce329981138fca13caa6d468c0182dff58f6ff314f",
+    ),
+    "pptes_extension3": (
+        "d4e2504059a2ad1084bc29ed44b1e01d7ec58985dd82fd13e1bc9244e397cc24",
+        "10394e02623a2388355f1684ebd98f398c5a230ab03aed18553366fb47a426f5",
+    ),
 }
 
 
@@ -79,8 +93,11 @@ def test_corpus_digest(corpus):
 
 def _build_set(name):
     if name.startswith("test_"):
-        pure, mixed = dsm.build_test_sets(3, 0.001, 21)
-        return pure if name == "test_pure3" else mixed
+        n = int(name[-1])
+        pure, mixed = dsm.build_test_sets(n, 0.001 if n == 3 else 0.0002, 21)
+        return pure if name.startswith("test_pure") else mixed
+    if name == "pptes_extension3":
+        return dsm.build_pptes_extension(0.0002, 21)
     if name == "train_negativity4":
         return dsm.build_training_set(4, "negativity", 0.001, 21)
     family, n = name[len("pptes_"):-1], int(name[-1])

@@ -237,22 +237,6 @@ class TestLabeling:
         labels, _ = ent.label_weakly(rho, spec, [0, 1])
         assert not labels.any()
 
-    def test_filter_verified(self):
-        rng = np.random.default_rng(13)
-        states = []
-        for _ in range(40):
-            rho = random_mixed(3, rng)
-            labels, negs = ent.label_by_negativity(rho)
-            states.append(type("S", (), {"labels": labels, "neg_values": negs})())
-        kept = ent.filter_verified(states)
-        assert len(kept) == len(states)  # negativity labels are self-consistent
-
-        class Fake:
-            labels = np.array([1, 0, 0], dtype=np.uint8)
-            neg_values = np.zeros(3)
-
-        assert ent.filter_verified([Fake()]) == []
-
 
 class TestPermutedIndex:
     def test_identity(self):

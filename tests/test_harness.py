@@ -60,7 +60,7 @@ class TestAccuracy:
             states.append(
                 dsm.LabeledState(rho, np.array([lab[0], 0, 0], np.uint8), negs, dsm.Provenance(0))
             )
-        ds = dsm.Dataset(dsm.DatasetManifest(3, "negativity", {"all": 4}, 51), states)
+        ds = dsm.Dataset.from_states(dsm.DatasetManifest(3, "negativity", {"all": 4}, 51), states)
         model = _FixedModel(np.full((4, 3), 0.45))
         mask = np.zeros((4, 3), dtype=bool)
         mask[:, 0] = True
@@ -265,6 +265,20 @@ class TestPptesMask:
         assert mask[:, hidden].all()
         _, _, negs = ds.arrays()
         assert np.all(mask[negs > ent.NPT_THRESHOLD])
+
+
+class TestConcat:
+    def test_saved_concat_equals_parts_in_order(self, mixed_sets, tmp_path):
+        pure, mixed = mixed_sets
+        path = tmp_path / "both.qent"
+        dsm.save_dataset(hn.concat_datasets(pure, mixed), path)
+        back = dsm.load_dataset(path)
+        assert back.manifest.sections == {**pure.manifest.sections, **mixed.manifest.sections}
+        assert len(back) == len(pure) + len(mixed)
+        for got, a, b in zip(back.arrays(), pure.arrays(), mixed.arrays()):
+            assert np.array_equal(got, np.concatenate([a, b]))
+        parts = [s.provenance for s in pure.states] + [s.provenance for s in mixed.states]
+        assert [s.provenance for s in back.states] == parts
 
 
 class TestRunExperiment:

