@@ -244,7 +244,10 @@ class StateView(Sequence):
         rho = np.empty(ds.channels.shape[2:], dtype=complex)
         rho.real, rho.imag = ds.channels[i]
         prov = Provenance(int(ds.generator[i]), int(ds.d[i]), int(ds.mask[i]))
-        return LabeledState(rho, ds.labels[i].copy(), ds.negs[i].copy(), prov)
+        try:
+            return LabeledState(rho, ds.labels[i].copy(), ds.negs[i].copy(), prov)
+        except ValueError as exc:
+            raise DatasetIntegrityError(f"row {i}: {exc}") from None
 
 
 # --- section generators ----------------------------------------------------
@@ -545,6 +548,8 @@ def save_dataset(ds: Dataset, path) -> None:
         raise DatasetIntegrityError("state qubit count differs from manifest")
     records = np.empty(len(ds), dtype=_record_dtype(man.num_qubits))
     for name in COLUMNS:
+        if not np.can_cast(getattr(ds, name).dtype, records.dtype[name].base, "safe"):
+            raise DatasetIntegrityError(f"column {name} does not fit {records.dtype[name].base}")
         records[name] = getattr(ds, name)
     blob = _HEADER.pack(
         MAGIC,

@@ -67,17 +67,30 @@ class CircuitSpec:
         )
 
 
-def u_gate(theta: float, phi: float, lam: float) -> np.ndarray:
-    """General single-qubit rotation from three Euler angles (2x2 unitary)."""
+def _u_gates(angles) -> np.ndarray:
+    """``[m, 2, 2]`` single-qubit rotations from ``[m, 3]`` rows of (theta, phi, lam)."""
+    theta, phi, lam = np.asarray(angles, dtype=float).T
     c = np.cos(theta / 2)
     s = np.sin(theta / 2)
-    return np.array(
-        [
-            [c, -np.exp(1j * lam) * s],
-            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
-        ],
-        dtype=complex,
-    )
+    g = np.empty((len(c), 2, 2), dtype=complex)
+    g[:, 0, 0] = c
+    g[:, 0, 1] = -np.exp(1j * lam) * s
+    g[:, 1, 0] = np.exp(1j * phi) * s
+    g[:, 1, 1] = np.exp(1j * (phi + lam)) * c
+    return g
+
+
+def _controlled(u: np.ndarray, gamma) -> np.ndarray:
+    """``[k, 4, 4]`` controlled gates: identity block, then ``exp(i*gamma[j]) * u[j]``."""
+    g = np.zeros((len(u), 4, 4), dtype=complex)
+    g[:, 0, 0] = g[:, 1, 1] = 1.0
+    g[:, 2:, 2:] = np.exp(1j * np.asarray(gamma, dtype=float))[:, None, None] * u
+    return g
+
+
+def u_gate(theta: float, phi: float, lam: float) -> np.ndarray:
+    """General single-qubit rotation from three Euler angles (2x2 unitary)."""
+    return _u_gates([(theta, phi, lam)])[0]
 
 
 def cu_gate(theta: float, phi: float, lam: float, gamma: float) -> np.ndarray:
@@ -87,9 +100,7 @@ def cu_gate(theta: float, phi: float, lam: float, gamma: float) -> np.ndarray:
     the upper-left 2x2 block is the identity, the lower-right block is
     ``exp(i*gamma) * u_gate(theta, phi, lam)``.
     """
-    g = np.eye(4, dtype=complex)
-    g[2:, 2:] = np.exp(1j * gamma) * u_gate(theta, phi, lam)
-    return g
+    return _controlled(_u_gates([(theta, phi, lam)]), [gamma])[0]
 
 
 @lru_cache(maxsize=None)
@@ -115,6 +126,12 @@ def _gate_index(n: int, targets: tuple) -> np.ndarray:
     return idx
 
 
+def _apply(psi: np.ndarray, gate: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    out = np.empty_like(psi)
+    out[idx] = psi[idx] @ gate.T
+    return out
+
+
 def apply_gate(state: np.ndarray, gate: np.ndarray, targets) -> np.ndarray:
     """Apply a 2**t-dimensional gate to the listed qubits of a state vector.
 
@@ -131,34 +148,23 @@ def apply_gate(state: np.ndarray, gate: np.ndarray, targets) -> np.ndarray:
     gate = np.asarray(gate, dtype=complex)
     if gate.shape != (idx.shape[1], idx.shape[1]):
         raise ValueError(f"gate shape {gate.shape} does not act on {len(targets)} qubit(s)")
-    out = np.empty_like(state)
-    out[idx] = state[idx] @ gate.T
-    return out
+    return _apply(state, gate, idx)
 
 
 def run_circuit(spec: CircuitSpec) -> np.ndarray:
     """Run a circuit on the all-zeros register and return the state vector."""
-    psi = np.zeros(1 << spec.num_qubits, dtype=complex)
+    n, ops = spec.num_qubits, spec.ops
+    gates = _u_gates([(op.params.theta, op.params.phi, op.params.lam) for op in ops])
+    cu = [i for i, op in enumerate(ops) if op.kind == "cu"]
+    blocks = iter(_controlled(gates[cu], [ops[i].params.gamma for i in cu]) if cu else ())
+    psi = np.zeros(1 << n, dtype=complex)
     psi[0] = 1.0
-    for op in spec.ops:
-        p = op.params
+    for op, u in zip(ops, gates):
         if op.kind == "u":
-            psi = apply_gate(psi, u_gate(p.theta, p.phi, p.lam), [op.target])
+            psi = _apply(psi, u, _gate_index(n, (op.target,)))
         else:
-            psi = apply_gate(
-                psi, cu_gate(p.theta, p.phi, p.lam, p.gamma), [op.target, op.control]
-            )
+            psi = _apply(psi, next(blocks), _gate_index(n, (op.target, op.control)))
     return psi
-
-
-def _random_u_params(rng) -> GateParams:
-    a = rng.uniform(0.0, TAU, size=3)
-    return GateParams(a[0], a[1], a[2])
-
-
-def _random_cu_params(rng) -> GateParams:
-    a = rng.uniform(0.0, TAU, size=4)
-    return GateParams(a[0], a[1], a[2], a[3])
 
 
 def random_circuit_state(n: int, entangling: bool, rng) -> tuple:
@@ -171,7 +177,8 @@ def random_circuit_state(n: int, entangling: bool, rng) -> tuple:
     """
     if n < 2:
         raise ValueError("need at least 2 qubits")
-    ops = [CircuitOp("u", q, _random_u_params(rng)) for q in range(n)]
+    first = rng.uniform(0.0, TAU, size=(n, 3)).tolist()  # the same stream as n draws of size 3
+    ops = [CircuitOp("u", q, GateParams(*a)) for q, a in enumerate(first)]
     if entangling:
         k = int(rng.integers(1, 2 * comb(n, 2)))
         for _ in range(k):
@@ -179,8 +186,10 @@ def random_circuit_state(n: int, entangling: bool, rng) -> tuple:
             t = int(rng.integers(n - 1))
             if t >= c:
                 t += 1
-            ops.append(CircuitOp("cu", t, _random_cu_params(rng), control=c))
-    ops += [CircuitOp("u", q, _random_u_params(rng)) for q in range(n)]
+            a = rng.uniform(0.0, TAU, size=4).tolist()
+            ops.append(CircuitOp("cu", t, GateParams(*a), control=c))
+    last = rng.uniform(0.0, TAU, size=(n, 3)).tolist()
+    ops += [CircuitOp("u", q, GateParams(*a)) for q, a in enumerate(last)]
     spec = CircuitSpec(n, ops)
     return run_circuit(spec), spec
 
@@ -219,9 +228,9 @@ def w_state(n: int) -> np.ndarray:
     return psi
 
 
-def _random_local_gates(n: int, rng) -> list:
-    """One random single-qubit rotation per qubit, qubit 0 first."""
-    return [u_gate(p.theta, p.phi, p.lam) for p in (_random_u_params(rng) for _ in range(n))]
+def _random_local_gates(n: int, rng) -> np.ndarray:
+    """``[n, 2, 2]``: one random single-qubit rotation per qubit, qubit 0 first."""
+    return _u_gates(rng.uniform(0.0, TAU, size=(n, 3)))
 
 
 def random_local_unitary(n: int, rng) -> np.ndarray:
@@ -245,7 +254,7 @@ def randomize_local(obj: np.ndarray, rng) -> np.ndarray:
         v = random_local_unitary(n, rng)
         return v @ obj @ v.conj().T
     for q, gate in enumerate(_random_local_gates(n, rng)):
-        obj = apply_gate(obj, gate, [q])
+        obj = _apply(obj, gate, _gate_index(n, (q,)))
     return obj
 
 

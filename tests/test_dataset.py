@@ -356,6 +356,30 @@ class TestPersistence:
         with pytest.raises(dsm.DatasetIntegrityError, match=match):
             dsm.load_dataset(path)
 
+    def test_save_rejects_unsafe_column_cast(self, tmp_path):
+        """A column that does not fit its record field raises, naming the column."""
+        ds = dsm.build_pptes_testset("upb", 3, seed=12)
+        ds.labels = ds.labels.astype(np.int64)
+        ds.labels[0, 0] = 256
+        path = tmp_path / "u.qent"
+        with pytest.raises(dsm.DatasetIntegrityError, match="column labels"):
+            dsm.save_dataset(ds, path)
+        assert not path.exists()
+
+    def test_negative_negativity_row_raises_on_access(self, tmp_path):
+        """A CRC-valid file with a negative negativity loads; its row raises when read."""
+        path = tmp_path / "u.qent"
+        dsm.save_dataset(dsm.build_pptes_testset("upb", 3, seed=12), path)
+        raw = bytearray(path.read_bytes()[:-4])
+        at = dsm._HEADER.size + dsm._record_dtype(3).fields["negs"][1]
+        raw[at : at + 8] = struct.pack("<d", -0.5)
+        path.write_bytes(bytes(raw) + struct.pack("<I", zlib.crc32(raw)))
+        ds = dsm.load_dataset(path)
+        assert ds.negs[0, 0] == -0.5
+        with pytest.raises(dsm.DatasetIntegrityError, match="row 0"):
+            ds.states[0]
+        assert ds.states[1].neg_values.shape == (3,)
+
     def test_manifest_must_match_states(self, small_train, tmp_path):
         broken = dsm.Dataset.from_states(small_train.manifest, small_train.states[:-1])
         with pytest.raises(dsm.DatasetIntegrityError):

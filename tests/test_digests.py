@@ -23,6 +23,9 @@ from qent import model as mdl
 CORPUS_SHA256 = "083f5ceb5b60eb63ca90cfba6fd880b4bb782e40f76662b95ad7ace8164582e5"
 MANIFEST_SHA256 = "4703b46e3a1deb9a034dd1fa4bdaa8a28f28025813942c86c50b73e91ff44d2b"
 CHECKPOINT_SHA256 = "948d9b5e0b3c897963079e78ae0bdd9336e09e388ee0c7f4fc5879cdf4881913"
+# The same tiny model trained with the Siamese loss, whose rotation draws go
+# through stategen.random_local_unitary.
+SIAMESE_CHECKPOINT_SHA256 = "b049dd9eb8140f96abb528a87b2c3cc3ced54b39e536a1263379fd0cde2d2339"
 ARCH_SHA256 = "ff7be69d38d7231770e350bcca8df27036d2cb33dbc3239caade93c541768520"
 
 # (corpus, manifest) digests of further sets, all seed 21: the 3-qubit pure
@@ -30,7 +33,9 @@ ARCH_SHA256 = "ff7be69d38d7231770e350bcca8df27036d2cb33dbc3239caade93c541768520"
 # 4-qubit negativity training set (scale 0.001) and a 5-qubit Horodecki set
 # (count 5), whose labels come from 16x16 and 32x32 partial transposes, the
 # 5-qubit pure and mixed test sets (scale 0.0002) and the family retraining
-# extension (scale 0.0002).
+# extension (scale 0.0002), and the 3-qubit weakly and negativity training
+# sets (scale 0.001; weakly labels come from the circuits' gate pairs) and
+# validation set (scale 0.001), the corpora the desk-scale bench builds.
 SET_SHA256 = {
     "test_pure3": (
         "b2eca9d2e7fcea8aa1a9008dcee7d4c898d2f69cce96d5da507acaf121eaae40",
@@ -72,6 +77,18 @@ SET_SHA256 = {
         "d4e2504059a2ad1084bc29ed44b1e01d7ec58985dd82fd13e1bc9244e397cc24",
         "10394e02623a2388355f1684ebd98f398c5a230ab03aed18553366fb47a426f5",
     ),
+    "train_weakly3": (
+        "2c64331e24725807e656741eabe59351184312103239acba91270995b3562e1f",
+        "a741772d45247d3ad6d2454ffb4812d2422ea7b58feae8e5267bfbd08534f80d",
+    ),
+    "train_negativity3": (
+        "26c9ee3264f68d6dd2d35e573cfaebefcc794ef6e37b9166cf41f797f697c1ee",
+        "4ee045d2ec635be3205a6f6228ae0d7b5396a90af0061faa290ef38f01f2df03",
+    ),
+    "valid3": (
+        "42ce0fa025a3d55837438eb6e4b7fe1bbb153e9d380dd7bd8d5a522579a84fd5",
+        "7f89e3fc424340859c2c5a884c575568d084a5f29d17c4983e589a9846c41e7f",
+    ),
 }
 
 
@@ -98,8 +115,10 @@ def _build_set(name):
         return pure if name.startswith("test_pure") else mixed
     if name == "pptes_extension3":
         return dsm.build_pptes_extension(0.0002, 21)
-    if name == "train_negativity4":
-        return dsm.build_training_set(4, "negativity", 0.001, 21)
+    if name.startswith("train_"):
+        return dsm.build_training_set(int(name[-1]), name[len("train_"):-1], 0.001, 21)
+    if name == "valid3":
+        return dsm.build_validation_set(3, 0.001, 21)
     family, n = name[len("pptes_"):-1], int(name[-1])
     return dsm.build_pptes_testset(family, 10 if n == 3 else 5, 21, n_qubits=n)
 
@@ -111,12 +130,12 @@ def test_set_digest(name, tmp_path):
     assert (sha256(path), sha256(path.with_name(path.name + ".manifest"))) == SET_SHA256[name]
 
 
-def train_tiny_checkpoint(corpus, ckpt) -> None:
+def train_tiny_checkpoint(corpus, ckpt, kind="cnn") -> None:
     """Train the pinned tiny-arch model on ``corpus`` and save it to ``ckpt``."""
     arch = mdl.ArchConfig(n_qubits=3, r1=4.0, fc_layers=2, fc_units=16)
     model = mdl.build_cnn(arch, seed=22)
     cfg = mdl.TrainConfig(epochs=2, seed=22, batch_size=32)
-    hn.train_model(model, dsm.load_dataset(corpus), None, cfg, kind="cnn")
+    hn.train_model(model, dsm.load_dataset(corpus), None, cfg, kind=kind)
     mdl.save_model(model, ckpt)
 
 
@@ -124,6 +143,13 @@ def test_checkpoint_digest(corpus, tmp_path):
     ckpt = tmp_path / "tiny.ckpt"
     train_tiny_checkpoint(corpus, ckpt)
     assert sha256(ckpt) == CHECKPOINT_SHA256
+    assert sha256(ckpt.with_name(ckpt.name + ".arch")) == ARCH_SHA256
+
+
+def test_siamese_checkpoint_digest(corpus, tmp_path):
+    ckpt = tmp_path / "tiny.ckpt"
+    train_tiny_checkpoint(corpus, ckpt, kind="siamese")
+    assert sha256(ckpt) == SIAMESE_CHECKPOINT_SHA256
     assert sha256(ckpt.with_name(ckpt.name + ".arch")) == ARCH_SHA256
 
 

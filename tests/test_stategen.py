@@ -58,6 +58,76 @@ class TestGates:
         assert np.allclose(g[2:, 2:], np.exp(1j * ga) * sg.u_gate(th, ph, la))
 
 
+def u_reference(theta, phi, lam):
+    """The single-qubit gate formula written out per element, one gate at a time."""
+    c = np.cos(theta / 2)
+    s = np.sin(theta / 2)
+    return np.array(
+        [
+            [c, -np.exp(1j * lam) * s],
+            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
+        ],
+        dtype=complex,
+    )
+
+
+def cu_reference(theta, phi, lam, gamma):
+    g = np.eye(4, dtype=complex)
+    g[2:, 2:] = np.exp(1j * gamma) * u_reference(theta, phi, lam)
+    return g
+
+
+class TestBatchedGates:
+    """The stacked gate builders and draws are bit-equal to one-at-a-time ones."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matrix_draw_equals_row_draws(self, n):
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        rows = [b.uniform(0.0, TAU, size=3) for _ in range(n)]
+        assert a.uniform(0.0, TAU, size=(n, 3)).tobytes() == np.array(rows).tobytes()
+        assert a.random() == b.random()  # both streams end at the same place
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 16, 33])
+    def test_u_gates_rows_equal_u_gate(self, m):
+        angles = np.random.default_rng(m).uniform(0.0, TAU, size=(m, 3))
+        angles[0, 0] = 0.0  # theta = 0: the sin factor is an exact zero
+        stack = sg._u_gates(angles)
+        assert stack.shape == (m, 2, 2) and stack.dtype == complex
+        for row, a in zip(stack, angles):
+            assert row.tobytes() == sg.u_gate(*a).tobytes()
+            assert row.tobytes() == u_reference(*a).tobytes()
+            assert row.tobytes() == u_reference(*a.tolist()).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 19])
+    def test_controlled_rows_equal_cu_gate(self, k):
+        angles = np.random.default_rng(50 + k).uniform(0.0, TAU, size=(k, 4))
+        stack = sg._controlled(sg._u_gates(angles[:, :3]), angles[:, 3])
+        assert stack.shape == (k, 4, 4)
+        for row, a in zip(stack, angles):
+            assert row.tobytes() == sg.cu_gate(*a).tobytes()
+            assert row.tobytes() == cu_reference(*a).tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("entangling", [True, False])
+    def test_circuit_equals_public_replay(self, n, entangling):
+        """Replaying the returned spec gate by gate through apply_gate gives the same bytes."""
+        rng = np.random.default_rng(100 + n)
+        for _ in range(20):
+            psi, spec = sg.random_circuit_state(n, entangling, rng)
+            want = np.zeros(1 << n, dtype=complex)
+            want[0] = 1.0
+            for op in spec.ops:
+                p = op.params
+                assert all(0.0 <= v < TAU for v in (p.theta, p.phi, p.lam, p.gamma))
+                if op.kind == "u":
+                    want = sg.apply_gate(want, sg.u_gate(p.theta, p.phi, p.lam), [op.target])
+                else:
+                    gate = sg.cu_gate(p.theta, p.phi, p.lam, p.gamma)
+                    want = sg.apply_gate(want, gate, [op.target, op.control])
+            assert psi.tobytes() == want.tobytes()
+            assert sg.run_circuit(spec).tobytes() == want.tobytes()
+
+
 class TestApplyGate:
     def test_identity_gate(self):
         rng = np.random.default_rng(2)
