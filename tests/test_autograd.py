@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from qent import autograd as ag
+from qent import model as mdl
 
 EPS = 1e-5
 REL_TOL = 1e-4
@@ -357,6 +360,164 @@ class TestAdam:
         ag.Adam([p], lr=0.1).step()
         assert p.data is held
         assert not np.array_equal(held, [1.0, 2.0])
+
+
+def tiny_model(seed=1):
+    return mdl.build_cnn(mdl.ArchConfig(n_qubits=3, r1=4.0, fc_layers=2, fc_units=16), seed=seed)
+
+
+def encoded_batch(rows, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, 2, 8, 8))
+    q = (rng.random((rows, 3)) > 0.5).astype(np.float64)
+    return x, q
+
+
+def batch_loss(model, kind, x, q, rng):
+    if kind == "cnn":
+        return mdl.cnn_loss(model, x, q)
+    return mdl.siamese_loss(model, x, q, 0.5, 0.5, rng)
+
+
+def train_step(model, opt, kind, x, q, rng):
+    loss = batch_loss(model, kind, x, q, rng)
+    opt.zero_grad()
+    loss.backward()
+    opt.step()
+    return loss
+
+
+class TestReleasedGraph:
+    @pytest.mark.parametrize("kind", ["cnn", "siamese"])
+    def test_inner_activations_freed_by_backward(self, kind, monkeypatch):
+        made = []
+        relu = ag.relu
+
+        def recording_relu(a):
+            out = relu(a)
+            made.append((weakref.ref(out), weakref.ref(out.data)))
+            return out
+
+        monkeypatch.setattr(ag, "relu", recording_relu)
+        model = tiny_model()
+        x, q = encoded_batch(8)
+        loss = batch_loss(model, kind, x, q, np.random.default_rng(2))
+        assert made and all(t() is not None for t, _ in made)  # the graph holds them
+        loss.backward()
+        assert all(t() is None and d() is None for t, d in made)
+
+    def test_second_backward_raises(self):
+        model = tiny_model()
+        x, q = encoded_batch(4)
+        loss = mdl.cnn_loss(model, x, q)
+        loss.backward()
+        grads = [p.grad.copy() for p in model.parameters()]
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+        assert all(np.array_equal(p.grad, g) for p, g in zip(model.parameters(), grads))
+
+    def test_released_node_in_a_new_graph_raises(self):
+        x = ag.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        h = ag.square(x)
+        ag.mean(h).backward()
+        with pytest.raises(RuntimeError, match="released"):
+            ag.mean(ag.absolute(h)).backward()
+
+    def test_leaf_and_parameter_gradients_stay_readable(self):
+        rng = np.random.default_rng(71)
+        x = rand_tensor(rng, (5, 3))
+        w = rand_tensor(rng, (3, 2))
+        b = rand_tensor(rng, (2,))
+        ag.mean(ag.relu(ag.dense(x, w, b))).backward()
+        g = (x.data @ w.data + b.data > 0) / 10.0  # d mean / d pre-activation
+        assert np.allclose(x.grad, g @ w.data.T, rtol=1e-14, atol=0.0)
+        assert np.allclose(w.grad, x.data.T @ g, rtol=1e-14, atol=0.0)
+        assert np.allclose(b.grad, g.sum(axis=0), rtol=1e-14, atol=0.0)
+
+
+def _shares(a, arrays):
+    return any(np.shares_memory(a, b) for b in arrays)
+
+
+class TestWorkspace:
+    def test_held_buffers_and_their_views_are_not_handed_out(self):
+        ws = ag.Workspace()
+        direct = ws.empty((4, 3))
+        flat = ws.empty((4, 3)).reshape(12)
+        transposed = ws.empty((4, 3)).T
+        sliced = ws.empty((4, 3))[1:, ::2]
+        held = [direct, flat, transposed, sliced]
+        for _ in range(3):
+            fresh = ws.empty((4, 3))
+            assert not _shares(fresh, held)
+            held.append(fresh)
+        assert len(ws) == 7
+
+    def test_dropped_buffer_is_handed_out_again(self):
+        ws = ag.Workspace()
+        a = ws.empty((4, 3))
+        addr = a.ctypes.data
+        view = a.T
+        del a
+        assert ws.empty((4, 3)).ctypes.data != addr  # the view still pins it
+        del view
+        assert ws.empty((4, 3)).ctypes.data == addr
+        z = ws.zeros((4, 3))
+        assert z.ctypes.data == addr and not z.any()
+        assert len(ws) == 2
+
+    def test_dtypes_and_shapes_never_share(self):
+        ws = ag.Workspace()
+        made = [ws.empty((4, 3)), ws.empty((4, 3), bool), ws.empty((3, 4)), ws.empty(12)]
+        addrs = {a.ctypes.data for a in made}
+        del made
+        again = [ws.empty((4, 3), bool), ws.empty(12), ws.empty((3, 4)), ws.empty((4, 3))]
+        assert [a.dtype for a in again] == [bool, np.float64, np.float64, np.float64]
+        assert [a.shape for a in again] == [(4, 3), (12,), (3, 4), (4, 3)]
+        assert {a.ctypes.data for a in again} == addrs
+        assert len(ws) == 4
+
+    def test_ops_outside_a_workspace_allocate_fresh_arrays(self):
+        ws = ag.Workspace()
+        x = ag.Tensor(np.ones((2, 3)))
+        with ag.workspace(ws):
+            pass
+        ag.relu(ag.dense(x, ag.Tensor(np.ones((3, 2))), ag.Tensor(np.zeros(2))))
+        assert len(ws) == 0
+
+    def test_steady_state_step_adds_no_buffer(self):
+        model = tiny_model()
+        opt = ag.Adam(model.parameters())
+        x, q = encoded_batch(16)
+        rng = np.random.default_rng(3)
+        ws = ag.Workspace()
+        with ag.workspace(ws):
+            for kind in ("cnn", "cnn", "siamese", "siamese"):
+                train_step(model, opt, kind, x, q, rng)
+            warm = len(ws)
+            assert warm > 0
+            train_step(model, opt, "cnn", x, q, rng)
+            assert len(ws) == warm
+            train_step(model, opt, "siamese", x, q, rng)
+            assert len(ws) == warm
+
+    @pytest.mark.parametrize("kind", ["cnn", "siamese"])
+    def test_steps_bit_equal_with_and_without_workspace(self, kind):
+        def run(ws):
+            model = tiny_model(seed=4)
+            opt = ag.Adam(model.parameters())
+            rng = np.random.default_rng(5)
+            losses = []
+            for rows in (16, 16, 16, 5, 16):
+                x, q = encoded_batch(rows, seed=len(losses))
+                if ws is None:
+                    losses.append(train_step(model, opt, kind, x, q, rng).item())
+                else:
+                    with ag.workspace(ws):
+                        losses.append(train_step(model, opt, kind, x, q, rng).item())
+            return losses, [p.data.tobytes() for p in model.parameters()]
+
+        assert run(ag.Workspace()) == run(None)
 
 
 class TestCheckpoint:
