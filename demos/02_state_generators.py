@@ -13,7 +13,6 @@ from qent import (
     label_by_negativity,
     label_weakly,
     mix_states,
-    MixtureSpec,
     random_circuit_state,
     traced_mixed_state,
 )
@@ -23,8 +22,8 @@ rng = np.random.default_rng(7)
 
 print("== Random gate circuit ==")
 psi, circuit = random_circuit_state(3, entangling=True, rng=rng)
-kinds = [op.kind for op in circuit.ops]
-print(f"{len(circuit.ops)} gates ({kinds.count('u')} local, {kinds.count('cu')} controlled)")
+n_cu = int(np.count_nonzero(circuit.controls >= 0))
+print(f"{len(circuit.targets)} gates ({len(circuit.targets) - n_cu} local, {n_cu} controlled)")
 print("entangling pairs:", sorted(tuple(sorted(p)) for p in circuit.cu_pairs))
 labels, negs = label_by_negativity(np.outer(psi, psi.conj()))
 print("per-cut negativities:", np.round(negs, 4), "-> labels", labels)
@@ -35,9 +34,9 @@ print("norm:", np.linalg.norm(psi), " mean |amplitude|^2:", np.mean(np.abs(psi) 
 
 print("\n== Explicit mixture of pure states ==")
 d = 4
-spec = MixtureSpec(random_probs(d, rng), [haar_state(3, rng) for _ in range(d)])
-rho = mix_states(spec)
-print(f"d={d} weights {np.round(spec.probs, 3)} trace {np.trace(rho).real:.6f}")
+probs = random_probs(d, rng)
+rho = mix_states(probs, [haar_state(3, rng) for _ in range(d)])
+print(f"d={d} weights {np.round(probs, 3)} trace {np.trace(rho).real:.6f}")
 print("negativities:", np.round(label_by_negativity(rho)[1], 4))
 
 print("\n== Partial-trace mixture and the labeling strategies ==")

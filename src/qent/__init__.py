@@ -7,7 +7,6 @@ and scores them against the exact partial-transpose negativity.
 
 from .qcore import (
     hermitian_eigenvalues,
-    kron,
     kron_all,
     num_qubits,
     partial_trace,
@@ -15,10 +14,7 @@ from .qcore import (
     validate_density_matrix,
 )
 from .stategen import (
-    CircuitOp,
     CircuitSpec,
-    GateParams,
-    MixtureSpec,
     apply_gate,
     cu_gate,
     ghz_state,

@@ -112,12 +112,6 @@ def pairs_to_mask(pairs, n: int) -> int:
     return mask
 
 
-def mask_to_pairs(mask: int, n: int) -> frozenset:
-    return frozenset(
-        frozenset(p) for i, p in enumerate(qubit_pairs(n)) if mask >> i & 1
-    )
-
-
 @dataclass(frozen=True)
 class Provenance:
     """How a sample was produced: generator tag, mixture size, gate connectivity."""
@@ -324,14 +318,14 @@ def mixture_of_entangled(n: int, d: int, pool: str, rng) -> np.ndarray:
     """Mixture of d fully entangled pure states with random weights."""
     probs = sg.random_probs(d, rng)
     comps = [sample_entangled_pure(n, pool, rng) for _ in range(d)]
-    return sg.mix_states(sg.MixtureSpec(probs, comps))
+    return sg.mix_states(probs, comps)
 
 
 def mixture_of_separable(n: int, d: int, rng) -> np.ndarray:
     """Mixture of d product pure states; separable by construction."""
     probs = sg.random_probs(d, rng)
     comps = [sg.random_circuit_state(n, False, rng)[0] for _ in range(d)]
-    return sg.mix_states(sg.MixtureSpec(probs, comps))
+    return sg.mix_states(probs, comps)
 
 
 def _mixed_separable_mixture(n: int, rng, d_max: int) -> LabeledState:

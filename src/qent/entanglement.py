@@ -144,9 +144,10 @@ def label_weakly(rho: np.ndarray, circuit, surviving_qubits=None) -> tuple:
 
     A bipartition the partial transpose cannot certify is marked entangled
     iff some controlled gate in the generating circuit connects its two
-    sides.  Only gate pairs whose endpoints both survive count;
-    ``surviving_qubits`` maps the state's qubits onto circuit qubits and
-    defaults to the identity.  Returns ``(labels, neg_values)``.
+    sides: the gate's control and target bits differ in the cut's side-B
+    mask.  Only gates whose endpoints both survive count;
+    ``surviving_qubits`` lists the distinct circuit qubit behind each state
+    qubit and defaults to the identity.  Returns ``(labels, neg_values)``.
     """
     rho = np.asarray(rho, dtype=complex)
     n = num_qubits(rho.shape[0])
@@ -155,27 +156,22 @@ def label_weakly(rho: np.ndarray, circuit, surviving_qubits=None) -> tuple:
     surviving_qubits = [int(q) for q in surviving_qubits]
     if len(surviving_qubits) != n:
         raise ValueError("need one circuit qubit per state qubit")
+    if len(set(surviving_qubits)) != n:
+        raise ValueError(f"duplicate surviving qubits in {surviving_qubits}")
     if any(q < 0 or q >= circuit.num_qubits for q in surviving_qubits):
         raise ValueError("surviving qubits outside the circuit register")
 
-    circuit_to_state = {cq: sq for sq, cq in enumerate(surviving_qubits)}
-    crossing_masks = []
-    for pair in circuit.cu_pairs:
-        a, b = sorted(pair)
-        if a in circuit_to_state and b in circuit_to_state:
-            crossing_masks.append(
-                (1 << circuit_to_state[a], 1 << circuit_to_state[b])
-            )
+    state_qubit = np.full(circuit.num_qubits, -1)
+    state_qubit[surviving_qubits] = np.arange(n)
+    cu = circuit.controls >= 0
+    a = state_qubit[circuit.controls[cu]]
+    b = state_qubit[circuit.targets[cu]]
+    live = (a >= 0) & (b >= 0)
+    masks = np.arange(2, 1 << n, 2)[:, None]  # side-B masks, canonical order
+    bridged = (((masks >> a[live]) ^ (masks >> b[live])) & 1).any(axis=1)
 
     labels, negs = label_by_negativity(rho)
-    for i, bp in enumerate(enumerate_bipartitions(n)):
-        if labels[i]:
-            continue
-        for bit_a, bit_b in crossing_masks:
-            in_b = bool(bp.side_b_mask & bit_a), bool(bp.side_b_mask & bit_b)
-            if in_b[0] != in_b[1]:
-                labels[i] = 1
-                break
+    labels[bridged] = 1
     return labels, negs
 
 

@@ -29,11 +29,6 @@ def num_qubits(dim: int) -> int:
     return n
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the left factor occupies the more significant bits."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def kron_all(mats) -> np.ndarray:
     """Kronecker product of a sequence, left-to-right (first factor = MSB)."""
     out = np.asarray(mats[0], dtype=complex)

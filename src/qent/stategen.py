@@ -7,7 +7,7 @@ single-qubit mixed factors.  Every generator takes an explicit
 ``numpy.random.Generator`` and is a pure function of it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -18,53 +18,26 @@ from .qcore import kron_all, num_qubits, partial_trace
 TAU = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
-class GateParams:
-    """Angles (radians) of a parameterized gate; gamma is the controlled-gate phase."""
-
-    theta: float
-    phi: float
-    lam: float
-    gamma: float = 0.0
-
-    def __post_init__(self):
-        for name in ("theta", "phi", "lam", "gamma"):
-            v = getattr(self, name)
-            if not (0.0 <= v < TAU):
-                raise ValueError(f"{name}={v} outside [0, 2*pi)")
-
-
-@dataclass(frozen=True)
-class CircuitOp:
-    """One gate application: kind 'u' (single-qubit) or 'cu' (controlled)."""
-
-    kind: str
-    target: int
-    params: GateParams
-    control: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("u", "cu"):
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind == "cu" and (self.control is None or self.control == self.target):
-            raise ValueError("controlled gate needs a control distinct from its target")
-        if self.kind == "u" and self.control is not None:
-            raise ValueError("single-qubit gate must not carry a control")
-
-
 @dataclass
 class CircuitSpec:
-    """Ordered gate list on a register, plus the derived entangling connectivity."""
+    """A gate circuit on a register, one array row per gate in application order.
+
+    ``targets[m]`` and ``controls[m]`` are qubit indices, the control -1 on a
+    single-qubit gate; ``angles[m, 4]`` holds (theta, phi, lam, gamma) in
+    radians, gamma 0 on a single-qubit gate.
+    """
 
     num_qubits: int
-    ops: list = field(default_factory=list)
+    targets: np.ndarray
+    controls: np.ndarray
+    angles: np.ndarray
 
     @property
     def cu_pairs(self) -> frozenset:
         """Unordered qubit pairs touched by any controlled gate."""
-        return frozenset(
-            frozenset((op.control, op.target)) for op in self.ops if op.kind == "cu"
-        )
+        cu = self.controls >= 0
+        pairs = zip(self.controls[cu].tolist(), self.targets[cu].tolist())
+        return frozenset(map(frozenset, pairs))
 
 
 def _u_gates(angles) -> np.ndarray:
@@ -152,18 +125,21 @@ def apply_gate(state: np.ndarray, gate: np.ndarray, targets) -> np.ndarray:
 
 
 def run_circuit(spec: CircuitSpec) -> np.ndarray:
-    """Run a circuit on the all-zeros register and return the state vector."""
-    n, ops = spec.num_qubits, spec.ops
-    gates = _u_gates([(op.params.theta, op.params.phi, op.params.lam) for op in ops])
-    cu = [i for i, op in enumerate(ops) if op.kind == "cu"]
-    blocks = iter(_controlled(gates[cu], [ops[i].params.gamma for i in cu]) if cu else ())
+    """Run a circuit on the all-zeros register and return the state vector.
+
+    Every gate is built up front: one stacked U formula for all rows, then
+    one controlled-gate stack for the rows with a control.
+    """
+    n = spec.num_qubits
+    u = _u_gates(spec.angles[:, :3])
+    gates = list(u)
+    cu = np.flatnonzero(spec.controls >= 0)
+    for i, g in zip(cu.tolist(), _controlled(u[cu], spec.angles[cu, 3])):
+        gates[i] = g
     psi = np.zeros(1 << n, dtype=complex)
     psi[0] = 1.0
-    for op, u in zip(ops, gates):
-        if op.kind == "u":
-            psi = _apply(psi, u, _gate_index(n, (op.target,)))
-        else:
-            psi = _apply(psi, next(blocks), _gate_index(n, (op.target, op.control)))
+    for t, c, g in zip(spec.targets.tolist(), spec.controls.tolist(), gates):
+        psi = _apply(psi, g, _gate_index(n, (t,) if c < 0 else (t, c)))
     return psi
 
 
@@ -173,24 +149,26 @@ def random_circuit_state(n: int, entangling: bool, rng) -> tuple:
     With ``entangling`` the number of controlled gates is uniform on
     ``[1, 2*C(n,2))`` and each lands on a uniformly random ordered
     (control, target) pair; without it the circuit stays a product state.
-    Returns ``(state, CircuitSpec)``.
+    The draws, in order: the first layer's ``(n, 3)`` angles; with
+    ``entangling`` the gate count k, then per controlled gate its control,
+    its target among the other qubits and its 4 angles; the last layer's
+    ``(n, 3)`` angles.  Returns ``(state, CircuitSpec)``.
     """
     if n < 2:
         raise ValueError("need at least 2 qubits")
-    first = rng.uniform(0.0, TAU, size=(n, 3)).tolist()  # the same stream as n draws of size 3
-    ops = [CircuitOp("u", q, GateParams(*a)) for q, a in enumerate(first)]
-    if entangling:
-        k = int(rng.integers(1, 2 * comb(n, 2)))
-        for _ in range(k):
-            c = int(rng.integers(n))
-            t = int(rng.integers(n - 1))
-            if t >= c:
-                t += 1
-            a = rng.uniform(0.0, TAU, size=4).tolist()
-            ops.append(CircuitOp("cu", t, GateParams(*a), control=c))
-    last = rng.uniform(0.0, TAU, size=(n, 3)).tolist()
-    ops += [CircuitOp("u", q, GateParams(*a)) for q, a in enumerate(last)]
-    spec = CircuitSpec(n, ops)
+    first = rng.uniform(0.0, TAU, size=(n, 3))
+    k = int(rng.integers(1, 2 * comb(n, 2))) if entangling else 0
+    targets = np.concatenate([np.arange(n), np.zeros(k, dtype=int), np.arange(n)])
+    controls = np.full(2 * n + k, -1)
+    angles = np.zeros((2 * n + k, 4))
+    angles[:n, :3] = first
+    for j in range(n, n + k):
+        c = int(rng.integers(n))
+        t = int(rng.integers(n - 1))
+        targets[j], controls[j] = t + (t >= c), c  # t skips over c
+        angles[j] = rng.uniform(0.0, TAU, size=4)
+    angles[n + k:, :3] = rng.uniform(0.0, TAU, size=(n, 3))
+    spec = CircuitSpec(n, targets, controls, angles)
     return run_circuit(spec), spec
 
 
@@ -258,39 +236,17 @@ def randomize_local(obj: np.ndarray, rng) -> np.ndarray:
     return obj
 
 
-@dataclass
-class MixtureSpec:
-    """Convex mixture of pure components: weights plus state vectors."""
-
-    probs: np.ndarray
-    components: list
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=float)
-        if len(self.components) != self.probs.shape[0] or self.probs.shape[0] < 1:
-            raise ValueError("need one weight per component, at least one component")
-        if np.any(self.probs < 0) or abs(self.probs.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1")
-        dims = {c.shape[0] for c in self.components}
-        if len(dims) != 1:
-            raise ValueError("components live in different Hilbert spaces")
-
-    @property
-    def d(self) -> int:
-        return int(self.probs.shape[0])
-
-
 def random_probs(d: int, rng) -> np.ndarray:
     """Mixture weights: i.i.d. uniform-(0,1] samples, normalized."""
     u = 1.0 - rng.random(d)
     return u / u.sum()
 
 
-def mix_states(spec: MixtureSpec) -> np.ndarray:
-    """Density matrix of the mixture: sum of weighted pure projectors."""
-    dim = spec.components[0].shape[0]
+def mix_states(probs, components) -> np.ndarray:
+    """Density matrix of a convex mixture: sum of weighted pure projectors."""
+    dim = components[0].shape[0]
     rho = np.zeros((dim, dim), dtype=complex)
-    for p, psi in zip(spec.probs, spec.components):
+    for p, psi in zip(probs, components, strict=True):
         rho += p * np.outer(psi, psi.conj())
     return rho
 

@@ -60,9 +60,9 @@ class TestPartialTranspose:
         psi_b = sg.haar_state(1, rng)
         rho_a = np.outer(psi_a, psi_a.conj())
         rho_b = np.outer(psi_b, psi_b.conj())
-        rho = qcore.kron(rho_b, rho_a)
+        rho = np.kron(rho_b, rho_a)
         pt = ent.partial_transpose(rho, ent.Bipartition(2, 0b10))
-        assert np.allclose(pt, qcore.kron(rho_b.T, rho_a))
+        assert np.allclose(pt, np.kron(rho_b.T, rho_a))
         assert qcore.hermitian_eigenvalues(pt).min() > -1e-12
 
     def test_involution_exact(self):
@@ -208,13 +208,11 @@ class TestLabeling:
         rng = np.random.default_rng(10)
         psi, _ = sg.random_circuit_state(3, False, rng)
         rho = np.outer(psi, psi.conj())
-        empty = sg.CircuitSpec(3, [])
-        labels, _ = ent.label_weakly(rho, empty)
+        local = sg.CircuitSpec(3, np.arange(3), np.full(3, -1), np.ones((3, 4)))
+        labels, _ = ent.label_weakly(rho, local)
         assert not labels.any()
 
-        bridged = sg.CircuitSpec(
-            3, [sg.CircuitOp("cu", 1, sg.GateParams(1, 1, 1, 1), control=0)]
-        )
+        bridged = sg.CircuitSpec(3, np.array([1]), np.array([0]), np.ones((1, 4)))
         labels, _ = ent.label_weakly(rho, bridged)
         # cuts separating qubits 0 and 1 get the weak mark; 2|{0,1} stays 0
         assert list(labels) == [1, 0, 1]
@@ -231,11 +229,33 @@ class TestLabeling:
         psi, _ = sg.random_circuit_state(2, False, rng)
         rho = np.outer(psi, psi.conj())
         # the only CU touches a qubit beyond the surviving register
-        spec = sg.CircuitSpec(
-            3, [sg.CircuitOp("cu", 2, sg.GateParams(1, 1, 1, 1), control=0)]
-        )
+        spec = sg.CircuitSpec(3, np.array([2]), np.array([0]), np.ones((1, 4)))
         labels, _ = ent.label_weakly(rho, spec, [0, 1])
         assert not labels.any()
+
+    def test_weak_matches_pair_loop(self):
+        """The array expression agrees with a loop over cu_pairs and cuts."""
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            rho, spec = sg.traced_mixed_state(3, int(rng.integers(1, 3)), rng)
+            surviving = [int(q) for q in rng.permutation(spec.num_qubits)[:3]]
+            labels, negs = ent.label_weakly(rho, spec, surviving)
+            want = (negs > ent.NPT_THRESHOLD).astype(np.uint8)
+            state_qubit = {cq: sq for sq, cq in enumerate(surviving)}
+            for i, bp in enumerate(ent.enumerate_bipartitions(3)):
+                for a, b in map(tuple, spec.cu_pairs):
+                    if a in state_qubit and b in state_qubit and (
+                        (state_qubit[a] in bp.side_b) != (state_qubit[b] in bp.side_b)
+                    ):
+                        want[i] = 1
+            assert np.array_equal(labels, want)
+
+    def test_weak_rejects_bad_surviving_qubits(self):
+        rho = np.outer(sg.ghz_state(3), sg.ghz_state(3).conj())
+        spec = sg.CircuitSpec(4, np.array([2]), np.array([0]), np.ones((1, 4)))
+        for surviving in ([0, 1], [0, 1, 4], [0, -1, 2], [0, 0, 1]):
+            with pytest.raises(ValueError):
+                ent.label_weakly(rho, spec, surviving)
 
 
 class TestPermutedIndex:

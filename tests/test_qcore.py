@@ -39,24 +39,26 @@ def partial_trace_oracle(rho, traced, n):
 
 
 class TestKron:
+    """kron_all on two factors: the left factor occupies the more significant bits."""
+
     def test_identity(self):
-        assert np.array_equal(qcore.kron(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.array_equal(qcore.kron_all([np.eye(2), np.eye(2)]), np.eye(4))
 
     def test_x_on_high_qubit(self):
         # left factor acts on the more significant bit: |00> -> |10>
         v = np.zeros(4, dtype=complex)
         v[0] = 1
-        assert np.allclose(qcore.kron(X, np.eye(2)) @ v, [0, 0, 1, 0])
+        assert np.allclose(qcore.kron_all([X, np.eye(2)]) @ v, [0, 0, 1, 0])
 
     def test_diagonal_expansion(self):
-        got = qcore.kron(np.diag([1, 2]), np.diag([3, 4]))
+        got = qcore.kron_all([np.diag([1, 2]), np.diag([3, 4])])
         assert np.allclose(got, np.diag([3, 4, 6, 8]))
 
     def test_associative(self):
         rng = np.random.default_rng(1)
         a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-        left = qcore.kron(qcore.kron(a, b), c)
-        right = qcore.kron(a, qcore.kron(b, c))
+        left = qcore.kron_all([qcore.kron_all([a, b]), c])
+        right = qcore.kron_all([a, qcore.kron_all([b, c])])
         assert np.max(np.abs(left - right)) < 1e-12
 
     def test_kron_all_order(self):
@@ -81,7 +83,7 @@ class TestPartialTrace:
         for _ in range(25):
             rho_a = random_density(1, rng)
             rho_b = random_density(1, rng)
-            got = qcore.partial_trace(qcore.kron(rho_b, rho_a), [1])
+            got = qcore.partial_trace(qcore.kron_all([rho_b, rho_a]), [1])
             assert np.max(np.abs(got - rho_a)) < 1e-10
 
     @pytest.mark.parametrize("n,traced", [(2, [0]), (3, [1]), (3, [0, 2]), (4, [1, 3])])

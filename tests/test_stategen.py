@@ -116,14 +116,13 @@ class TestBatchedGates:
             psi, spec = sg.random_circuit_state(n, entangling, rng)
             want = np.zeros(1 << n, dtype=complex)
             want[0] = 1.0
-            for op in spec.ops:
-                p = op.params
-                assert all(0.0 <= v < TAU for v in (p.theta, p.phi, p.lam, p.gamma))
-                if op.kind == "u":
-                    want = sg.apply_gate(want, sg.u_gate(p.theta, p.phi, p.lam), [op.target])
+            assert np.all((spec.angles >= 0.0) & (spec.angles < TAU))
+            for t, c, a in zip(spec.targets, spec.controls, spec.angles):
+                if c < 0:
+                    assert a[3] == 0.0
+                    want = sg.apply_gate(want, sg.u_gate(*a[:3]), [t])
                 else:
-                    gate = sg.cu_gate(p.theta, p.phi, p.lam, p.gamma)
-                    want = sg.apply_gate(want, gate, [op.target, op.control])
+                    want = sg.apply_gate(want, sg.cu_gate(*a), [t, c])
             assert psi.tobytes() == want.tobytes()
             assert sg.run_circuit(spec).tobytes() == want.tobytes()
 
@@ -226,8 +225,7 @@ class TestRandomCircuit:
         counts = set()
         for _ in range(400):
             _, spec = sg.random_circuit_state(3, True, rng)
-            k = sum(1 for op in spec.ops if op.kind == "cu")
-            counts.add(k)
+            counts.add(int(np.count_nonzero(spec.controls >= 0)))
         assert counts == {1, 2, 3, 4, 5}
 
     def test_unit_norm_many(self):
@@ -241,13 +239,39 @@ class TestRandomCircuit:
         b, _ = sg.random_circuit_state(4, True, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
-    def test_circuit_spec_validation(self):
-        with pytest.raises(ValueError):
-            sg.CircuitOp("cu", 1, sg.GateParams(1, 1, 1), control=1)
-        with pytest.raises(ValueError):
-            sg.CircuitOp("u", 0, sg.GateParams(1, 1, 1), control=2)
-        with pytest.raises(ValueError):
-            sg.GateParams(-0.1, 0, 0)
+    def test_draw_order(self):
+        """The spec's rows are the documented draws, and no other draw is made."""
+        n = 4
+        rng = np.random.default_rng(21)
+        _, spec = sg.random_circuit_state(n, True, rng)
+        ref = np.random.default_rng(21)
+        first = ref.uniform(0.0, TAU, size=(n, 3))
+        k = int(ref.integers(1, 2 * 6))  # 2 * C(4, 2)
+        pairs, cu_angles = [], []
+        for _ in range(k):
+            c = int(ref.integers(n))
+            t = int(ref.integers(n - 1))
+            pairs.append((c, t + 1 if t >= c else t))
+            cu_angles.append(ref.uniform(0.0, TAU, size=4))
+        last = ref.uniform(0.0, TAU, size=(n, 3))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert spec.num_qubits == n and len(spec.targets) == 2 * n + k
+        assert list(spec.targets[:n]) == list(spec.targets[n + k:]) == list(range(n))
+        assert np.all(spec.controls[:n] == -1) and np.all(spec.controls[n + k:] == -1)
+        assert list(zip(spec.controls[n:n + k], spec.targets[n:n + k])) == pairs
+        assert np.array_equal(spec.angles[:n, :3], first)
+        assert np.array_equal(spec.angles[n:n + k], np.array(cu_angles))
+        assert np.array_equal(spec.angles[n + k:, :3], last)
+        assert not spec.angles[:n, 3].any() and not spec.angles[n + k:, 3].any()
+
+    def test_run_circuit_rejects_bad_qubits(self):
+        angles = np.full((1, 4), 1.0)
+        with pytest.raises(ValueError):  # control == target
+            sg.run_circuit(sg.CircuitSpec(3, np.array([1]), np.array([1]), angles))
+        with pytest.raises(ValueError):  # target out of range
+            sg.run_circuit(sg.CircuitSpec(3, np.array([3]), np.array([-1]), angles))
+        with pytest.raises(ValueError):  # control out of range
+            sg.run_circuit(sg.CircuitSpec(3, np.array([0]), np.array([5]), angles))
 
 
 class _StubRng:
@@ -330,28 +354,24 @@ class TestRandomizeLocal:
 class TestMixtures:
     def test_single_component_projector(self):
         psi = sg.ghz_state(2)
-        rho = sg.mix_states(sg.MixtureSpec([1.0], [psi]))
+        rho = sg.mix_states([1.0], [psi])
         assert np.allclose(rho, np.outer(psi, psi.conj()))
+        with pytest.raises(ValueError):  # one weight per component
+            sg.mix_states([0.5, 0.5], [psi])
 
     def test_equal_mixture_is_maximally_mixed(self):
         zero = np.array([1, 0], dtype=complex)
         one = np.array([0, 1], dtype=complex)
-        rho = sg.mix_states(sg.MixtureSpec([0.5, 0.5], [zero, one]))
+        rho = sg.mix_states([0.5, 0.5], [zero, one])
         assert np.allclose(rho, np.eye(2) / 2)
 
     def test_trace_one_random_specs(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             d = int(rng.integers(2, 9))
-            spec = sg.MixtureSpec(
-                sg.random_probs(d, rng), [sg.haar_state(3, rng) for _ in range(d)]
-            )
-            assert abs(np.trace(sg.mix_states(spec)) - 1) < 1e-12
-
-    def test_rejects_bad_weights(self):
-        psi = sg.ghz_state(2)
-        with pytest.raises(ValueError):
-            sg.MixtureSpec([0.7, 0.7], [psi, psi])
+            probs = sg.random_probs(d, rng)
+            rho = sg.mix_states(probs, [sg.haar_state(3, rng) for _ in range(d)])
+            assert abs(np.trace(rho) - 1) < 1e-12
 
 
 class TestTracedMixed:
