@@ -14,22 +14,14 @@ next step rebinds the loss.  A released graph cannot be differentiated
 again.  No op mutates its inputs; gradients are cleared explicitly, and
 ``Adam.step`` updates the parameter arrays in place.
 
-Inside ``with workspace(ws):`` the large ops (conv2d, dense, relu, a copying
-reshape, Adam's scratch) write their outputs, saved arrays and gradients
-into buffers of the :class:`Workspace` ``ws`` instead of fresh arrays, so a
-training loop that repeats the same shapes stops allocating once warm.  An
-op keeps the workspace that was active at its forward call for its backward
-pass.  Outside such a block every op allocates fresh arrays.
-
 Convolutions are im2col products (Chellapilla, Puri & Simard 2006): the
 forward pass is one GEMM over the unrolled input windows, and the input
 gradient is one GEMM into window space followed by the col2im scatter-add
 of each kernel offset into its shifted input slice.
 """
 
+import math
 import struct
-import sys
-from contextlib import contextmanager
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,74 +30,6 @@ BCE_CLAMP = 1e-7
 
 CHECKPOINT_MAGIC = b"QENM"
 CHECKPOINT_VERSION = 1
-
-
-class _Heap:
-    """Fresh arrays on every call: what ops use with no workspace active."""
-
-    empty = staticmethod(np.empty)
-    zeros = staticmethod(np.zeros)
-
-
-class Workspace:
-    """Pool of arrays keyed by (shape, dtype), reused across training steps.
-
-    A held buffer is handed out again only when the pool's reference is the
-    only one left, so an array still in use, or any view of it, is never
-    given to a second caller.  Buffers live as long as the workspace.
-    """
-
-    def __init__(self):
-        self._pool = {}
-
-    def __len__(self):
-        return sum(len(bufs) for bufs in self._pool.values())
-
-    def empty(self, shape, dtype=np.float64) -> np.ndarray:
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        bufs = self._pool.setdefault((shape, np.dtype(dtype)), [])
-        for buf in bufs:
-            # references: the pool's list, the loop variable, the call's argument
-            if sys.getrefcount(buf) == 3:
-                return buf
-        buf = np.empty(shape, dtype)
-        bufs.append(buf)
-        return buf
-
-    def zeros(self, shape, dtype=np.float64) -> np.ndarray:
-        buf = self.empty(shape, dtype)
-        buf.fill(0)
-        return buf
-
-
-_active = _Heap()  # where ops take their arrays; see ``workspace``
-
-
-@contextmanager
-def workspace(ws: Workspace):
-    """Ops called inside the block take their large arrays from ``ws``."""
-    global _active
-    prev, _active = _active, ws
-    try:
-        yield ws
-    finally:
-        _active = prev
-
-
-def _empty_like(ws, a: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """Uninitialized array shaped like ``a`` and laid out in the same memory order."""
-    order = sorted(range(a.ndim), key=lambda i: -abs(a.strides[i]))
-    buf = ws.empty(tuple(a.shape[i] for i in order), dtype)
-    return buf.transpose(np.argsort(order))
-
-
-def _reshaped(ws, a: np.ndarray, shape) -> np.ndarray:
-    """``a.reshape(shape)``; a non-contiguous ``a`` is first copied into a buffer of ``ws``."""
-    if not a.flags.c_contiguous:
-        out = ws.empty(a.shape, a.dtype)
-        np.copyto(out, a)
-        a = out
-    return a.reshape(shape)
 
 
 def _released(g):
@@ -138,8 +62,7 @@ class Tensor:
 
     def accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
         # The first contribution is adopted as this tensor's gradient when the
-        # op made g for this call alone (fresh, often a workspace buffer, which
-        # stays pinned while the gradient is held).  Otherwise it is copied,
+        # op made g for this call alone (fresh).  Otherwise it is copied,
         # because g may be another node's gradient or a view of one.
         if self.grad is None:
             self.grad = g if fresh else np.array(g, dtype=np.float64)
@@ -252,18 +175,17 @@ def scale(a: Tensor, scalar) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    ws = _active
     orig = a.data.shape
 
     def bwd(g):
         if a.requires_grad:
             # copied in the input's memory order, so a channels-last conv
             # activation gets a channels-last gradient
-            ga = _empty_like(ws, a.data)
+            ga = np.empty_like(a.data)
             np.copyto(ga, g.reshape(orig))
             a.accumulate(ga, fresh=True)
 
-    return _node(_reshaped(ws, a.data, shape), (a,), bwd)
+    return _node(a.data.reshape(shape), (a,), bwd)
 
 
 def absolute(a: Tensor) -> Tensor:
@@ -315,14 +237,14 @@ def relu(a: Tensor) -> Tensor:
     NaN inputs pass through as NaN (they are not zeroed), so a poisoned
     activation reaches :func:`bce_mean`, whose finite check raises.
     """
-    ws = _active
-    mask = np.greater(a.data, 0, out=_empty_like(ws, a.data, bool))
+    mask = a.data > 0
 
     def bwd(g):
         if a.requires_grad:
-            a.accumulate(np.multiply(g, mask, out=_empty_like(ws, mask)), fresh=True)
+            # in the input's memory order, as the mask is
+            a.accumulate(np.multiply(g, mask, out=np.empty_like(a.data)), fresh=True)
 
-    return _node(np.maximum(a.data, 0.0, out=_empty_like(ws, a.data)), (a,), bwd)
+    return _node(np.maximum(a.data, 0.0), (a,), bwd)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -349,17 +271,15 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             f"dense: incompatible shapes x{x.data.shape} w{w.data.shape} b{b.data.shape}"
         )
 
-    ws = _active
-
     def bwd(g):
         if x.requires_grad:
-            x.accumulate(np.matmul(g, w.data.T, out=ws.empty(x.data.shape)), fresh=True)
+            x.accumulate(g @ w.data.T, fresh=True)
         if w.requires_grad:
-            w.accumulate(np.matmul(x.data.T, g, out=ws.empty(w.data.shape)), fresh=True)
+            w.accumulate(x.data.T @ g, fresh=True)
         if b.requires_grad:
             b.accumulate(g.sum(axis=0))
 
-    out = np.matmul(x.data, w.data, out=ws.empty((x.data.shape[0], w.data.shape[1])))
+    out = x.data @ w.data
     out += b.data
     return _node(out, (x, w, b), bwd)
 
@@ -384,33 +304,27 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(f"conv2d: kernel ({kh},{kw}) larger than input ({h},{w})")
     ho, wo = h - kh + 1, w - kw + 1
 
-    ws = _active
     cols = kh * kw * c_in
     # im2col with window columns ordered (kh, kw, C): conv outputs are laid out
     # channels-last in memory, so each window copies contiguous channel runs.
     win = sliding_window_view(x.data, (kh, kw), axis=(2, 3))
-    wmat = ws.empty((bsz * ho * wo, cols))
-    np.copyto(wmat.reshape(bsz, ho, wo, kh, kw, c_in), win.transpose(0, 2, 3, 4, 5, 1))
-    kmat = ws.empty((c_out, cols))
-    np.copyto(kmat.reshape(c_out, kh, kw, c_in), kernels.data.transpose(0, 2, 3, 1))
-    out = np.matmul(wmat, kmat.T, out=ws.empty((bsz * ho * wo, c_out)))
+    wmat = win.transpose(0, 2, 3, 4, 5, 1).reshape(-1, cols)
+    kmat = kernels.data.transpose(0, 2, 3, 1).reshape(c_out, cols)
+    out = wmat @ kmat.T
     out += bias.data
     out = out.reshape(bsz, ho, wo, c_out).transpose(0, 3, 1, 2)
 
     def bwd(g):
-        gmat = _reshaped(ws, g.transpose(0, 2, 3, 1), (-1, c_out))
+        gmat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
         if kernels.requires_grad:
-            gk = np.matmul(gmat.T, wmat, out=ws.empty((c_out, cols)))
+            gk = (gmat.T @ wmat).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
             # same layout as the kernels, so Adam's elementwise passes run unstrided
-            gkc = ws.empty(kernels.data.shape)
-            np.copyto(gkc, gk.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2))
-            kernels.accumulate(gkc, fresh=True)
+            kernels.accumulate(np.ascontiguousarray(gk), fresh=True)
         if bias.requires_grad:
             bias.accumulate(gmat.sum(axis=0))
         if x.requires_grad:
-            gcol = np.matmul(gmat, kmat, out=ws.empty((bsz * ho * wo, cols)))
-            gcol = gcol.reshape(bsz, ho, wo, kh, kw, c_in)
-            gx = ws.zeros((bsz, h, w, c_in))
+            gcol = (gmat @ kmat).reshape(bsz, ho, wo, kh, kw, c_in)
+            gx = np.zeros((bsz, h, w, c_in))
             for i in range(kh):
                 for j in range(kw):
                     gx[:, i : i + ho, j : j + wo] += gcol[:, :, :, i, j]
@@ -450,9 +364,8 @@ class Adam:
     ``step`` updates the moments and every parameter's ``data`` array in
     place, so references to those arrays see the new values.  Its only
     temporary is one scratch buffer, sized to the largest parameter and
-    shared by all of them.  Inside ``with workspace(ws):`` the scratch is a
-    buffer of ``ws``, reused by the next step; otherwise it is allocated per
-    step and freed when the step returns.
+    shared by all of them; it lives for one step, so it adds nothing to
+    the memory held while the next batch runs.
     """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -470,7 +383,7 @@ class Adam:
         t = self.step_count
         c1 = 1.0 - self.beta1**t
         c2 = 1.0 - self.beta2**t
-        scratch = _active.empty(max((m.size for m in self._m), default=0))
+        scratch = np.empty(max((m.size for m in self._m), default=0))
         for p, m, v in zip(self.params, self._m, self._v):
             g = 0.0 if p.grad is None else p.grad
             s = scratch[: m.size].reshape(m.shape)
@@ -507,6 +420,12 @@ def save_params(path, arrays) -> None:
 def load_params(path) -> list:
     with open(path, "rb") as f:
         raw = f.read()
+
+    def unpack(fmt, off):
+        if off + struct.calcsize(fmt) > len(raw):
+            raise ValueError(f"{path}: checkpoint truncated")
+        return struct.unpack_from(fmt, raw, off)
+
     head = struct.calcsize("<4sII")
     if len(raw) < head:
         raise ValueError(f"{path}: not a checkpoint (too short)")
@@ -518,11 +437,10 @@ def load_params(path) -> list:
     arrays = []
     off = head
     for _ in range(n_arrays):
-        (ndim,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        shape = struct.unpack_from(f"<{ndim}I", raw, off)
-        off += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
+        (ndim,) = unpack("<I", off)
+        shape = unpack(f"<{ndim}I", off + 4)
+        off += 4 + 4 * ndim
+        count = math.prod(shape)
         if off + 8 * count > len(raw):
             raise ValueError(f"{path}: checkpoint truncated")
         arrays.append(

@@ -27,6 +27,17 @@ def _snapshot(out_dir: Path, name: str, args: argparse.Namespace, extra=None) ->
     dsm.write_kv(out_dir / f"config_{name}.txt", resolved)
 
 
+def _train_config(args) -> mdl.TrainConfig:
+    return mdl.TrainConfig(
+        epochs=args.epochs,
+        seed=args.seed,
+        batch_size=args.batch_size,
+        learning_rate=args.lr,
+        lambda1=args.lambda1,
+        lambda2=args.lambda2,
+    )
+
+
 def _load_datasets(paths) -> list:
     out = []
     for p in paths:
@@ -94,14 +105,7 @@ def cmd_train(args) -> int:
     else:
         model = mdl.build_cnn(mdl.ArchConfig(n_qubits=train_ds.num_qubits), seed=args.seed)
 
-    cfg = mdl.TrainConfig(
-        epochs=args.epochs,
-        seed=args.seed,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        lambda1=args.lambda1,
-        lambda2=args.lambda2,
-    )
+    cfg = _train_config(args)
     result = hn.train_model(model, train_ds, valid_ds, cfg, kind=args.model)
     mdl.save_model(model, ckpt)
 
@@ -160,15 +164,7 @@ def cmd_sweep(args) -> int:
             except ValueError:
                 continue  # kernel/depth combination underflows the input
             model = mdl.build_cnn(arch, seed=args.seed)
-            cfg = mdl.TrainConfig(
-                epochs=args.epochs,
-                seed=args.seed,
-                batch_size=args.batch_size,
-                learning_rate=args.lr,
-                lambda1=args.lambda1,
-                lambda2=args.lambda2,
-            )
-            res = hn.train_model(model, train_ds, valid_ds, cfg, kind=args.model)
+            res = hn.train_model(model, train_ds, valid_ds, _train_config(args), kind=args.model)
             best_acc = max(res.val_accuracies)
             rows.append((depth, kernel, best_acc, res.best_epoch, res.seconds))
             print(f"depth {depth} kernel {kernel}: best val acc {best_acc:.4f}")
@@ -206,6 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    training = argparse.ArgumentParser(add_help=False)  # flags shared by train and sweep
+    training.add_argument("--model", choices=("cnn", "siamese"), default="cnn")
+    training.add_argument("--batch-size", type=int, default=64)
+    training.add_argument("--lr", type=float, default=1e-3)
+    training.add_argument("--lambda1", type=float, default=0.5)
+    training.add_argument("--lambda2", type=float, default=0.5)
+
     g = sub.add_parser("gen", help="generate a labeled dataset")
     g.add_argument("--qubits", type=int, required=True, choices=(3, 4, 5))
     g.add_argument("--strategy", choices=dsm.STRATEGIES, default="verified")
@@ -219,19 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     g.set_defaults(func=cmd_gen)
 
-    t = sub.add_parser("train", help="train a classifier")
+    t = sub.add_parser("train", parents=[training], help="train a classifier")
     t.add_argument("--data", required=True)
-    t.add_argument("--model", choices=("cnn", "siamese"), default="cnn")
     t.add_argument("--epochs", type=int, required=True)
-    t.add_argument("--lambda1", type=float, default=0.5)
-    t.add_argument("--lambda2", type=float, default=0.5)
     t.add_argument("--seed", type=int, required=True)
     t.add_argument("--out", required=True, help="checkpoint path")
     t.add_argument("--resume", default=None, help="checkpoint to continue from")
     t.add_argument("--extra-data", default=None, help="extra dataset merged into training")
     t.add_argument("--valid", default=None, help="validation dataset for model selection")
-    t.add_argument("--batch-size", type=int, default=64)
-    t.add_argument("--lr", type=float, default=1e-3)
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on datasets")
@@ -241,18 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out", required=True)
     e.set_defaults(func=cmd_eval)
 
-    s = sub.add_parser("sweep", help="architecture grid: conv depth x kernel size")
+    s = sub.add_parser("sweep", parents=[training], help="architecture grid: conv depth x kernel size")
     s.add_argument("--data", required=True)
     s.add_argument("--valid", required=True)
-    s.add_argument("--model", choices=("cnn", "siamese"), default="cnn")
     s.add_argument("--epochs", type=int, default=20)
     s.add_argument("--depths", default="1,2,3")
     s.add_argument("--kernels", default="2,3")
     s.add_argument("--seed", type=int, required=True)
-    s.add_argument("--batch-size", type=int, default=64)
-    s.add_argument("--lr", type=float, default=1e-3)
-    s.add_argument("--lambda1", type=float, default=0.5)
-    s.add_argument("--lambda2", type=float, default=0.5)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_sweep)
 

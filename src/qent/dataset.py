@@ -497,6 +497,8 @@ def make_pptes_testset(family: str, count: int, rng, n_qubits: int = 3) -> list:
 
 def build_pptes_testset(family: str, count: int, seed: int, n_qubits: int = 3) -> Dataset:
     """A persistable corpus wrapping :func:`make_pptes_testset`."""
+    if family not in PPTES_GEN:
+        raise ValueError(f"unknown PPTES family {family!r}; expected one of {ent.PPTES_FAMILIES}")
     states = make_pptes_testset(family, count, seeded_rng(seed, _SET_PPTES, PPTES_GEN[family]), n_qubits)
     manifest = DatasetManifest(n_qubits, "family", {f"pptes_{family}": count}, seed)
     return Dataset.from_states(manifest, states)

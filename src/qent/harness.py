@@ -14,7 +14,7 @@ import numpy as np
 from . import dataset as dsm
 from . import entanglement as ent
 from . import model as mdl
-from .autograd import Adam, Workspace, workspace
+from .autograd import Adam
 from .rng import seeded_rng
 
 PREDICTION_THRESHOLD = 0.5
@@ -191,23 +191,19 @@ def train_model(
     step_losses = []
     val_accs = []
     best = None  # (accuracy, epoch, params)
-    ws = ws_rows = None  # step buffers, reused while the batch row count holds
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             sel = order[lo : lo + cfg.batch_size]
-            if ws_rows != len(sel):
-                ws, ws_rows = Workspace(), len(sel)
-            with workspace(ws):
-                if kind == "cnn":
-                    loss = mdl.cnn_loss(model, x_all[sel], q_all[sel])
-                else:
-                    loss = mdl.siamese_loss(
-                        model, x_all[sel], q_all[sel], cfg.lambda1, cfg.lambda2, siam_rng
-                    )
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
+            if kind == "cnn":
+                loss = mdl.cnn_loss(model, x_all[sel], q_all[sel])
+            else:
+                loss = mdl.siamese_loss(
+                    model, x_all[sel], q_all[sel], cfg.lambda1, cfg.lambda2, siam_rng
+                )
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
             step_losses.append(loss.item())
         if x_val is not None:
             acc = _plain_accuracy(model, x_val, q_val)

@@ -51,9 +51,14 @@ class TestGen:
         b = (again / "train.qent").read_bytes()
         assert a == b
 
-    def test_bad_flags_fail(self, tmp_path):
+    def test_bad_flags_fail(self, tmp_path, capsys):
         assert run(["gen", "--qubits", 3, "--scale", 2.0, "--seed", 1,
                     "--out", tmp_path / "x"]) == 1
+        capsys.readouterr()
+        assert run(["gen", "--qubits", 3, "--scale", 0.001, "--seed", 1,
+                    "--out", tmp_path / "x", "--set", "pptes:foo"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'foo'" in err and "'horodecki'" in err
         with pytest.raises(SystemExit):
             run(["gen", "--qubits", 3, "--scale", 0.01, "--out", tmp_path / "x"])  # no seed
 
@@ -135,6 +140,17 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "'r1'" in err
+
+    def test_corrupt_checkpoint_header_fails_cleanly(self, workspace, tmp_path, capsys):
+        raw = (workspace / "model.ckpt").read_bytes()
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(raw[:8] + (99).to_bytes(4, "little") + raw[12:])  # array count
+        (tmp_path / "model.ckpt.arch").write_bytes((workspace / "model.ckpt.arch").read_bytes())
+        capsys.readouterr()
+        assert run(["eval", "--ckpt", ckpt, "--data", workspace / "data" / "valid.qent",
+                    "--out", tmp_path / "eval"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "checkpoint truncated" in err
 
 
 class TestSweepAndConvneg:

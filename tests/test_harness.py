@@ -1,9 +1,6 @@
-import contextlib
-
 import numpy as np
 import pytest
 
-from qent import autograd as ag
 from qent import dataset as dsm
 from qent import entanglement as ent
 from qent import harness as hn
@@ -179,30 +176,6 @@ class TestTraining:
         s1, _ = run("siamese")
         s2, _ = run("siamese")
         assert s1 == s2
-
-    @pytest.mark.parametrize("kind", ["cnn", "siamese"])
-    def test_workspace_steps_bit_equal_to_fresh_arrays(self, kind, monkeypatch):
-        ds = dsm.build_training_set(3, "negativity", 0.0006, seed=59)
-        cfg = mdl.TrainConfig(epochs=2, seed=14, batch_size=16)
-        assert len(ds) % cfg.batch_size  # each epoch ends on a partial batch
-
-        def run():
-            model = mdl.build_cnn(tiny_arch(), seed=14)
-            res = hn.train_model(model, ds, None, cfg, kind=kind)
-            return res.step_losses, [a.tobytes() for a in model.param_arrays()]
-
-        pools = []
-
-        def recording_workspace(ws):
-            pools.append(ws)
-            return ag.workspace(ws)
-
-        monkeypatch.setattr(hn, "workspace", recording_workspace)
-        pooled = run()
-        assert len({id(ws) for ws in pools}) == 4  # full and partial batches, per epoch
-        assert all(len(ws) > 0 for ws in pools)
-        monkeypatch.setattr(hn, "workspace", lambda ws: contextlib.nullcontext())
-        assert run() == pooled
 
     def test_siamese_zero_weights_reproduces_cnn_steps(self):
         ds = dsm.build_training_set(3, "negativity", 0.0006, seed=56)
