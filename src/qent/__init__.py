@@ -53,7 +53,6 @@ from .dataset import (
     build_training_set,
     build_validation_set,
     load_dataset,
-    make_pptes_testset,
     save_dataset,
 )
 from .model import (
@@ -68,11 +67,9 @@ from .model import (
     siamese_loss,
 )
 from .harness import (
-    ExperimentPlan,
     MetricsReport,
     combined_classify,
     evaluate_accuracy,
-    run_experiment,
     train_model,
     transition_analysis,
 )

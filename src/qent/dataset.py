@@ -6,15 +6,18 @@ entanglement is not known by construction, and persist everything in a
 fixed-stride little-endian binary format (magic ``QENT``) that round-trips
 bit-exactly.
 
-Every sample is produced from its own derived RNG stream
-``(master_seed, set_tag, section_tag, index)``, so corpora are byte-identical
-for identical build parameters regardless of generation order.
+Every sample of the training, validation and test sets is produced from its
+own derived RNG stream ``(master_seed, set_tag, section_tag, index)``, and
+each section of a family set from one stream, so corpora are byte-identical
+for identical build parameters.
 """
 
 import struct
 import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -151,7 +154,6 @@ class DatasetManifest:
     strategy: str
     sections: dict
     master_seed: int
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
         if self.strategy not in _STRATEGY_CODES:
@@ -186,23 +188,6 @@ class Dataset:
     generator: np.ndarray
     d: np.ndarray
     mask: np.ndarray
-
-    @classmethod
-    def from_states(cls, manifest: DatasetManifest, states) -> "Dataset":
-        """Stack per-sample records into columns, in order."""
-        count, k = len(states), 1 << manifest.num_qubits
-        m = ent.num_bipartitions(manifest.num_qubits)
-        rhos = np.array([s.rho for s in states], dtype=complex).reshape(count, k, k)
-        provs = [s.provenance for s in states]
-        return cls(
-            manifest,
-            np.stack([rhos.real, rhos.imag], axis=1),
-            np.array([s.labels for s in states], dtype=np.uint8).reshape(count, m),
-            np.array([s.neg_values for s in states], dtype=np.float64).reshape(count, m),
-            np.array([p.generator for p in provs], dtype=np.uint8),
-            np.array([p.d for p in provs], dtype=np.uint16),
-            np.array([p.cu_pairs_mask for p in provs], dtype=np.uint32),
-        )
 
     def __len__(self):
         return len(self.labels)
@@ -245,6 +230,8 @@ class StateView(Sequence):
 
 
 # --- section generators ----------------------------------------------------
+#
+# Each maker returns one row: (rho, labels, negs, generator, d, mask).
 
 
 def _as_rho(psi: np.ndarray) -> np.ndarray:
@@ -259,22 +246,18 @@ def _attempts(generator: str, n: int):
     )
 
 
-def _pure_separable(n: int, rng) -> LabeledState:
-    psi, _ = sg.random_circuit_state(n, False, rng)
-    rho = _as_rho(psi)
-    labels, negs = ent.label_by_negativity(rho)
-    return LabeledState(rho, labels, negs, Provenance(GEN_PURE_SEP_CIRCUIT, d=1))
+def _pure_separable(n: int, rng) -> tuple:
+    rho = _as_rho(sg.random_circuit_state(n, False, rng)[0])
+    return (rho, *ent.label_by_negativity(rho), GEN_PURE_SEP_CIRCUIT, 1, 0)
 
 
-def _pure_product(n: int, rng) -> LabeledState:
+def _pure_product(n: int, rng) -> tuple:
     factors = [sg.haar_state(1, rng) for _ in range(n)]
-    psi = kron_all(list(reversed(factors)))
-    rho = _as_rho(psi)
-    labels, negs = ent.label_by_negativity(rho)
-    return LabeledState(rho, labels, negs, Provenance(GEN_PURE_SEP_PRODUCT, d=1))
+    rho = _as_rho(kron_all(list(reversed(factors))))
+    return (rho, *ent.label_by_negativity(rho), GEN_PURE_SEP_PRODUCT, 1, 0)
 
 
-def _pure_entangled(n: int, rng, ghz_w_fraction: float = 0.1) -> LabeledState:
+def _pure_entangled(n: int, rng, ghz_w_fraction: float = 0.1) -> tuple:
     """One pure state with at least one certified-entangled cut.
 
     Pool mix: random entangling circuits and Haar states in equal measure,
@@ -297,7 +280,7 @@ def _pure_entangled(n: int, rng, ghz_w_fraction: float = 0.1) -> LabeledState:
         rho = _as_rho(psi)
         labels, negs = ent.label_by_negativity(rho)
         if labels.any():
-            return LabeledState(rho, labels, negs, Provenance(gen, d=1, cu_pairs_mask=mask))
+            return rho, labels, negs, gen, 1, mask
 
 
 def sample_entangled_pure(n: int, pool: str, rng) -> np.ndarray:
@@ -328,23 +311,19 @@ def mixture_of_separable(n: int, d: int, rng) -> np.ndarray:
     return sg.mix_states(probs, comps)
 
 
-def _mixed_separable_mixture(n: int, rng, d_max: int) -> LabeledState:
+def _mixed_separable_mixture(n: int, rng, d_max: int) -> tuple:
     d = int(rng.integers(2, d_max + 1))
-    rho = mixture_of_separable(n, d, rng)
-    negs = ent.negativity_vector(rho)
-    labels = np.zeros_like(negs, dtype=np.uint8)  # separable by construction
-    return LabeledState(rho, labels, negs, Provenance(GEN_MIXED_SEP_MIXTURE, d=d))
+    rho = mixture_of_separable(n, d, rng)  # separable by construction: labels 0
+    return rho, 0, ent.negativity_vector(rho), GEN_MIXED_SEP_MIXTURE, d, 0
 
 
-def _mixed_separable_kron(n: int, rng) -> LabeledState:
+def _mixed_separable_kron(n: int, rng) -> tuple:
     d = int(rng.integers(1, (1 << n) + 1))
     rho = sg.kron_separable_mixed(n, rng, d=d)
-    negs = ent.negativity_vector(rho)
-    labels = np.zeros_like(negs, dtype=np.uint8)
-    return LabeledState(rho, labels, negs, Provenance(GEN_MIXED_SEP_KRON, d=d))
+    return rho, 0, ent.negativity_vector(rho), GEN_MIXED_SEP_KRON, d, 0
 
 
-def _mixed_entangled_def(n: int, rng, d_max: int, keep: str) -> LabeledState:
+def _mixed_entangled_def(n: int, rng, d_max: int, keep: str) -> tuple:
     """Mixture of entangled pure states, kept when negativity certifies it.
 
     ``keep='any'`` requires one certified cut (labels are then the negativity
@@ -359,10 +338,10 @@ def _mixed_entangled_def(n: int, rng, d_max: int, keep: str) -> LabeledState:
         ok = labels.all() if keep == "all" else labels.any()
         if ok:
             gen = GEN_MIXED_DEF_CIRCUIT if pool == "circuit" else GEN_MIXED_DEF_HAAR
-            return LabeledState(rho, labels, negs, Provenance(gen, d=d))
+            return rho, labels, negs, gen, d, 0
 
 
-def _mixed_entangled_traced(n: int, rng, strategy: str) -> LabeledState:
+def _mixed_entangled_traced(n: int, rng, strategy: str) -> tuple:
     """Marginal of a larger entangled circuit state, labeled per strategy."""
     for _ in _attempts("_mixed_entangled_traced", n):
         n_extra = int(rng.integers(1, 3))
@@ -373,8 +352,19 @@ def _mixed_entangled_traced(n: int, rng, strategy: str) -> LabeledState:
             labels, negs = ent.label_by_negativity(rho)
             if strategy == "verified" and not labels.all():
                 continue  # a cut the criterion cannot certify: drop the state
-        mask = pairs_to_mask(spec.cu_pairs, n)
-        return LabeledState(rho, labels, negs, Provenance(GEN_MIXED_TRACED, d=0, cu_pairs_mask=mask))
+        return rho, labels, negs, GEN_MIXED_TRACED, 0, pairs_to_mask(spec.cu_pairs, n)
+
+
+def _family_state(family: str, n: int, rng) -> tuple:
+    """One locally randomized state from a bound-entangled family.
+
+    Labels carry 1 on the family's defining entangled cuts, plus any cut the
+    negativity oracle happens to certify on top of that.
+    """
+    rho = ent.pptes_state(family, rng, n)
+    negs = ent.negativity_vector(rho)
+    labels = ent.pptes_defining_labels(family, n) | (negs > ent.NPT_THRESHOLD)
+    return rho, labels, negs, PPTES_GEN[family], 0, 0
 
 
 # --- corpus builders -------------------------------------------------------
@@ -400,19 +390,34 @@ def _check_build_args(n_qubits: int, scale: float) -> None:
         raise ValueError(f"scale {scale} outside (0, 1]")
 
 
-def _build_sections(n_qubits, strategy, scale, seed, set_tag, plan) -> Dataset:
-    """Corpus of ``plan``'s ``(name, full count, maker)`` sections, scaled.
+def _build_sections(n_qubits, strategy, seed, plan) -> Dataset:
+    """Corpus of ``plan``'s ``(name, count, make, rngs)`` sections, in order.
 
-    Sample i of section ``tag`` is made from stream ``(seed, set_tag, tag, i)``.
+    Row j of a section is ``make(rngs[j])``, written straight into columns
+    preallocated in the v1 record layout.
     """
-    sections = {}
-    states = []
+    manifest = DatasetManifest(n_qubits, strategy, {name: c for name, c, _, _ in plan}, seed)
+    fields = _record_dtype(n_qubits)
+    cols = [np.empty((manifest.count, *fields[c].shape), fields[c].base) for c in COLUMNS]
+    rows = (make(rng) for _, _, make, rngs in plan for rng in rngs)
+    for row, (rho, *values) in enumerate(rows):
+        cols[0][row] = rho.real, rho.imag
+        for col, value in zip(cols[1:], values):
+            col[row] = value
+    return Dataset(manifest, *cols)
+
+
+def _scaled_plan(plan, scale, seed, set_tag) -> list:
+    """``(name, full count, make)`` sections, scaled.
+
+    Sample i of section ``tag`` draws from its own stream
+    ``(seed, set_tag, tag, i)``, made just before the sample.
+    """
+    out = []
     for tag, (name, full, make) in enumerate(plan):
         count = _scaled(full, scale)
-        sections[name] = count
-        for i in range(count):
-            states.append(make(seeded_rng(seed, set_tag, tag, i)))
-    return Dataset.from_states(DatasetManifest(n_qubits, strategy, sections, seed), states)
+        out.append((name, count, make, map(partial(seeded_rng, seed, set_tag, tag), range(count))))
+    return out
 
 
 def _build_table_set(n_qubits, strategy, scale, seed, set_tag) -> Dataset:
@@ -428,7 +433,7 @@ def _build_table_set(n_qubits, strategy, scale, seed, set_tag) -> Dataset:
         "mixed_entangled_traced": lambda rng: _mixed_entangled_traced(n_qubits, rng, strategy),
     }
     plan = [(name, full, makers[name]) for name, full in _TRAIN_SECTIONS]
-    return _build_sections(n_qubits, strategy, scale, seed, set_tag, plan)
+    return _build_sections(n_qubits, strategy, seed, _scaled_plan(plan, scale, seed, set_tag))
 
 
 def build_training_set(n_qubits: int, strategy: str, scale: float, seed: int) -> Dataset:
@@ -470,55 +475,37 @@ def build_test_sets(n_qubits: int, scale: float, seed: int) -> tuple:
 
     pure_plan = (("pure_separable", 15_000, pure_sep), ("pure_entangled", 15_000, pure_ent))
     mixed_plan = (("mixed_separable", 20_000, mixed_sep), ("mixed_entangled", 20_000, mixed_ent))
-    return (
-        _build_sections(n_qubits, "verified", scale, seed, _SET_TEST_PURE, pure_plan),
-        _build_sections(n_qubits, "verified", scale, seed, _SET_TEST_MIXED, mixed_plan),
+    return tuple(
+        _build_sections(n_qubits, "verified", seed, _scaled_plan(plan, scale, seed, set_tag))
+        for plan, set_tag in ((pure_plan, _SET_TEST_PURE), (mixed_plan, _SET_TEST_MIXED))
     )
 
 
-def make_pptes_testset(family: str, count: int, rng, n_qubits: int = 3) -> list:
-    """Locally randomized states from one bound-entangled family.
-
-    Labels carry 1 on the family's defining entangled cuts, plus any cut the
-    negativity oracle happens to certify on top of that.
-    """
-    if count < 1:
-        raise ValueError("count must be positive")
-    defining = ent.pptes_defining_labels(family, n_qubits)
-    gen = PPTES_GEN[family]
-    states = []
-    for _ in range(count):
-        rho = ent.pptes_state(family, rng, n_qubits)
-        negs = ent.negativity_vector(rho)
-        labels = np.maximum(defining, (negs > ent.NPT_THRESHOLD).astype(np.uint8))
-        states.append(LabeledState(rho, labels, negs, Provenance(gen)))
-    return states
-
-
 def build_pptes_testset(family: str, count: int, seed: int, n_qubits: int = 3) -> Dataset:
-    """A persistable corpus wrapping :func:`make_pptes_testset`."""
+    """``count`` states of one bound-entangled family, all from one stream."""
     if family not in PPTES_GEN:
         raise ValueError(f"unknown PPTES family {family!r}; expected one of {ent.PPTES_FAMILIES}")
-    states = make_pptes_testset(family, count, seeded_rng(seed, _SET_PPTES, PPTES_GEN[family]), n_qubits)
-    manifest = DatasetManifest(n_qubits, "family", {f"pptes_{family}": count}, seed)
-    return Dataset.from_states(manifest, states)
+    if count < 1:
+        raise ValueError("count must be positive")
+    rngs = repeat(seeded_rng(seed, _SET_PPTES, PPTES_GEN[family]), count)
+    plan = [(f"pptes_{family}", count, partial(_family_state, family, n_qubits), rngs)]
+    return _build_sections(n_qubits, "family", seed, plan)
 
 
 def build_pptes_extension(scale: float, seed: int) -> Dataset:
-    """Retraining extension: unextendible-basis plus GHZ-diagonal family states."""
+    """Retraining extension: unextendible-basis plus GHZ-diagonal family states.
+
+    Each section draws all of its states from one stream.
+    """
     if not 0.0 < scale <= 1.0:
         raise ValueError(f"scale {scale} outside (0, 1]")
-    plan = (("pptes_upb", 20_000, "upb"), ("pptes_acin", 30_000, "acin"))
-    sections = {}
-    states = []
-    for tag, (name, full, family) in enumerate(plan):
+    plan = []
+    sections = (("pptes_upb", 20_000, "upb"), ("pptes_acin", 30_000, "acin"))
+    for tag, (name, full, family) in enumerate(sections):
         count = _scaled(full, scale)
-        sections[name] = count
-        if count:
-            states += make_pptes_testset(
-                family, count, seeded_rng(seed, _SET_EXTENSION, 100 + tag), 3
-            )
-    return Dataset.from_states(DatasetManifest(3, "family", sections, seed), states)
+        rngs = repeat(seeded_rng(seed, _SET_EXTENSION, 100 + tag), count)
+        plan.append((name, count, partial(_family_state, family, 3), rngs))
+    return _build_sections(3, "family", seed, plan)
 
 
 # --- binary persistence ----------------------------------------------------
@@ -549,7 +536,7 @@ def save_dataset(ds: Dataset, path) -> None:
         records[name] = getattr(ds, name)
     blob = _HEADER.pack(
         MAGIC,
-        man.format_version,
+        FORMAT_VERSION,
         man.num_qubits,
         _STRATEGY_CODES[man.strategy],
         man.count,
@@ -558,7 +545,8 @@ def save_dataset(ds: Dataset, path) -> None:
     with open(path, "wb") as f:
         f.write(blob)
         f.write(struct.pack("<I", zlib.crc32(blob)))
-    side = {key: getattr(man, key) for key in _SIDECAR_KEYS}
+    values = (FORMAT_VERSION, man.num_qubits, man.strategy, man.master_seed, man.count)
+    side = dict(zip(_SIDECAR_KEYS, values))
     side.update((f"section.{name}", c) for name, c in man.sections.items())
     write_kv(str(path) + ".manifest", side)
 
@@ -609,7 +597,10 @@ def _sidecar_sections(path, header: dict) -> dict:
     sections = {}
     for key, v in side.items():
         if key.startswith("section."):
-            sections[key[len("section."):]] = _sidecar_int(sidecar, key, v)
+            count = _sidecar_int(sidecar, key, v)
+            if count < 0:
+                raise DatasetIntegrityError(f"{sidecar}: {key}={v!r} is negative")
+            sections[key[len("section."):]] = count
         elif key in header:
             got = v if key == "strategy" else _sidecar_int(sidecar, key, v)
             if got != header[key]:

@@ -1,4 +1,4 @@
-"""Training loops, evaluation metrics and experiment orchestration.
+"""Training loops, evaluation metrics and report writers.
 
 Accuracy counts correct (sample, bipartition) decisions at threshold 0.5;
 ``conv_neg`` measures agreement with the negativity-based classifier; the
@@ -7,7 +7,7 @@ back to the network only on the inconclusive cuts.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class MetricsReport:
     conv_neg: float
     npt_fraction: float
     seconds: float
-    config: dict = field(default_factory=dict)
     probabilities: np.ndarray | None = None
 
 
@@ -79,7 +78,6 @@ def evaluate_accuracy(
     mask: np.ndarray | None = None,
     combined: bool = False,
     batch_size: int = 256,
-    config: dict | None = None,
 ) -> MetricsReport:
     """Score a model on a corpus; ``mask`` limits which (sample, cut) pairs count.
 
@@ -118,7 +116,6 @@ def evaluate_accuracy(
         conv_neg=_agreement(preds, negs),
         npt_fraction=npt_fraction(negs),
         seconds=time.perf_counter() - t0,
-        config=dict(config or {}),
         probabilities=probs,
     )
 
@@ -294,32 +291,7 @@ def write_transition_csv(path, curves: TransitionCurves) -> None:
             f.write(",".join(row) + "\n")
 
 
-# --- end-to-end experiment ---------------------------------------------------
-
-
-@dataclass
-class ExperimentPlan:
-    """Everything needed to rerun one training-plus-evaluation run."""
-
-    n_qubits: int
-    strategy: str
-    scale: float
-    model_kind: str  # "cnn" | "siamese"
-    train: mdl.TrainConfig
-    data_seed: int
-    arch: mdl.ArchConfig | None = None
-    eval_pptes: bool = True
-    retrain_pptes: bool = False
-    retrain_epochs: int = 5
-    pptes_count: int = 100
-
-
-@dataclass
-class ExperimentResult:
-    reports: list
-    retrained_reports: list
-    train_result: TrainResult
-    model: object
+# --- corpus merging --------------------------------------------------------
 
 
 def concat_datasets(a: dsm.Dataset, b: dsm.Dataset) -> dsm.Dataset:
@@ -332,62 +304,3 @@ def concat_datasets(a: dsm.Dataset, b: dsm.Dataset) -> dsm.Dataset:
         a.num_qubits, a.manifest.strategy, sections, a.manifest.master_seed
     )
     return dsm.Dataset(man, *(np.concatenate([getattr(a, c), getattr(b, c)]) for c in dsm.COLUMNS))
-
-
-def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
-    """Generate corpora, train, evaluate; optionally extend with family states.
-
-    Mirrors the headline protocol: train on the chosen strategy, report
-    accuracy on the pure/mixed test sets (plus the combined classifier on the
-    mixed set), score the three bound-entangled families, and optionally
-    retrain a few extra epochs with family states mixed in.
-    """
-    cfg = plan.train
-    config_echo = {
-        "n_qubits": plan.n_qubits,
-        "strategy": plan.strategy,
-        "scale": plan.scale,
-        "model_kind": plan.model_kind,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "learning_rate": cfg.learning_rate,
-        "lambda1": cfg.lambda1,
-        "lambda2": cfg.lambda2,
-        "train_seed": cfg.seed,
-        "data_seed": plan.data_seed,
-    }
-    train_ds = dsm.build_training_set(plan.n_qubits, plan.strategy, plan.scale, plan.data_seed)
-    valid_ds = dsm.build_validation_set(plan.n_qubits, plan.scale, plan.data_seed)
-    pure_ds, mixed_ds = dsm.build_test_sets(plan.n_qubits, plan.scale, plan.data_seed)
-
-    arch = plan.arch or mdl.ArchConfig(n_qubits=plan.n_qubits)
-    model = mdl.build_cnn(arch, seed=cfg.seed)
-    train_result = train_model(model, train_ds, valid_ds, cfg, kind=plan.model_kind)
-
-    def evaluate_all(m):
-        reports = [
-            evaluate_accuracy(m, pure_ds, "pure_test", config=config_echo),
-            evaluate_accuracy(m, mixed_ds, "mixed_test", config=config_echo),
-            evaluate_accuracy(m, mixed_ds, "mixed_test_combined", combined=True, config=config_echo),
-        ]
-        if plan.eval_pptes and plan.n_qubits == 3:
-            for fam in ent.PPTES_FAMILIES:
-                ds = dsm.build_pptes_testset(fam, plan.pptes_count, plan.data_seed)
-                reports.append(
-                    evaluate_accuracy(
-                        m, ds, f"pptes_{fam}", mask=pptes_eval_mask(ds), config=config_echo
-                    )
-                )
-        return reports
-
-    reports = evaluate_all(model)
-    retrained_reports = []
-    if plan.retrain_pptes:
-        if plan.n_qubits != 3:
-            raise ValueError("family retraining extension exists for 3 qubits only")
-        extension = dsm.build_pptes_extension(plan.scale, plan.data_seed + 1)
-        merged = concat_datasets(train_ds, extension)
-        re_cfg = replace(cfg, epochs=plan.retrain_epochs, seed=cfg.seed + 1)
-        train_model(model, merged, valid_ds, re_cfg, kind=plan.model_kind)
-        retrained_reports = evaluate_all(model)
-    return ExperimentResult(reports, retrained_reports, train_result, model)

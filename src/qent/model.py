@@ -189,7 +189,7 @@ def predict_encoded(model: CnnClassifier, x: np.ndarray, batch_size: int = 256) 
     outs = []
     for lo in range(0, x.shape[0], batch_size):
         outs.append(model.forward(ag.Tensor(x[lo : lo + batch_size])).data)
-    return np.concatenate(outs, axis=0)
+    return np.concatenate(outs, axis=0) if outs else np.empty((0, model.arch.num_outputs))
 
 
 def cnn_loss(model: CnnClassifier, x: np.ndarray, labels: np.ndarray) -> ag.Tensor:

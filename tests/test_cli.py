@@ -129,6 +129,17 @@ class TestEval:
         acc = float(line.split(",")[1])
         assert 0.0 <= acc <= 1.0
 
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered")
+    def test_empty_corpora_evaluate(self, workspace, tmp_path):
+        data = tmp_path / "data"
+        assert run(["gen", "--qubits", 3, "--scale", 0.00001, "--seed", 11, "--out", data,
+                    "--set", "test"]) == 0
+        out = tmp_path / "eval"
+        assert run(["eval", "--ckpt", workspace / "model.ckpt", "--data",
+                    data / "test_pure.qent", data / "test_mixed.qent", "--out", out]) == 0
+        rows = [ln.split(",") for ln in (out / "metrics.csv").read_text().splitlines()[1:]]
+        assert [(r[0], r[1]) for r in rows] == [("test_pure", "nan"), ("test_mixed", "nan")]
+
     def test_truncated_arch_sidecar_fails_cleanly(self, workspace, tmp_path, capsys):
         ckpt = tmp_path / "model.ckpt"
         ckpt.write_bytes((workspace / "model.ckpt").read_bytes())

@@ -152,16 +152,17 @@ class TestRejectionCap:
 
 class TestPptesSets:
     def test_counts_and_ppt(self):
-        states = dsm.make_pptes_testset("upb", 30, seeded_rng(7, 1))
-        assert len(states) == 30
-        for s in states:
+        ds = dsm.build_pptes_testset("upb", 30, seed=7)
+        assert len(ds) == 30 and ds.manifest.sections == {"pptes_upb": 30}
+        assert np.all(ds.generator == dsm.GEN_PPTES_UPB)
+        for s in ds.states:
             assert np.all(s.neg_values < 1e-9)
             assert s.labels.all()
 
     def test_horodecki_defining_label(self):
-        states = dsm.make_pptes_testset("horodecki", 10, seeded_rng(8, 1))
+        ds = dsm.build_pptes_testset("horodecki", 10, seed=8)
         hidden = ent.horodecki_ppt_cut(3).index - 1
-        for s in states:
+        for s in ds.states:
             assert s.labels[hidden] == 1
             assert s.neg_values[hidden] < 1e-9
 
@@ -174,6 +175,53 @@ class TestPptesSets:
         ds = dsm.build_pptes_testset("acin", 25, seed=10)
         for s in ds.states:
             qcore.validate_density_matrix(s.rho)
+
+
+class TestSampleStreams:
+    """Per-section accounting reads one ``seeded_rng(seed, set, section, i)``
+    call per row, in section and index order, made before its row."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        events = []
+        rng_fn, neg_fn = dsm.seeded_rng, ent.negativity_vector
+
+        def recorder(*key):
+            events.append(("rng", key))
+            return rng_fn(*key)
+
+        def negativity(rho):
+            events.append(("neg", neg_fn(rho)))
+            return events[-1][1]
+
+        monkeypatch.setattr(dsm, "seeded_rng", recorder)
+        monkeypatch.setattr(ent, "negativity_vector", negativity)
+        return events
+
+    def test_one_call_per_row_before_the_row(self, events):
+        built = [(dsm._SET_TRAIN, dsm.build_training_set(3, "negativity", 0.0005, seed=30))]
+        tests = dsm.build_test_sets(3, 0.0005, seed=30)
+        built += zip((dsm._SET_TEST_PURE, dsm._SET_TEST_MIXED), tests)
+        calls = [j for j, (kind, key) in enumerate(events) if kind == "rng" and len(key) == 4]
+        assert [events[j][1] for j in calls] == [
+            (30, set_tag, tag, i)
+            for set_tag, ds in built
+            for tag, count in enumerate(ds.manifest.sections.values())
+            for i in range(count)
+        ]
+        # Row r is made between call r and call r + 1: the last negativity
+        # computed there is the one it stores.
+        assert calls[0] == 0
+        negs = np.concatenate([ds.negs for _, ds in built])
+        for row, (lo, hi) in enumerate(zip(calls, calls[1:] + [len(events)])):
+            kind, last = events[hi - 1]
+            assert kind == "neg" and np.array_equal(last, negs[row])
+
+    def test_family_sets_make_no_sample_calls(self, events):
+        dsm.build_pptes_testset("acin", 4, seed=31)
+        dsm.build_pptes_extension(0.0002, seed=31)
+        keys = [key for kind, key in events if kind == "rng"]
+        assert keys and all(len(key) == 3 for key in keys)
 
 
 class TestColumns:
@@ -209,11 +257,6 @@ class TestColumns:
             view[len(small_train)]
         with pytest.raises(TypeError):
             view[0] = view[1]
-
-    def test_from_states_round_trips_the_view(self, small_train):
-        again = dsm.Dataset.from_states(small_train.manifest, list(small_train.states))
-        for name in dsm.COLUMNS:
-            assert np.array_equal(getattr(again, name), getattr(small_train, name))
 
 
 class TestPersistence:
@@ -328,6 +371,9 @@ class TestPersistence:
             ({"num_qubits": "3.0"}, dsm.DatasetFormatError, "num_qubits"),
             ({"master_seed": "x"}, dsm.DatasetFormatError, "master_seed"),
             ({"count": ""}, dsm.DatasetFormatError, "count"),
+            # a negative section whose sum still matches the header's count
+            ({"section.pptes_upb": "5", "section.extra": "-2"},
+             dsm.DatasetIntegrityError, "section.extra"),
         ],
     )
     def test_sidecar_must_match_header(self, tmp_path, edits, error, key):
@@ -383,6 +429,7 @@ class TestPersistence:
         assert ds.states[1].neg_values.shape == (3,)
 
     def test_manifest_must_match_states(self, small_train, tmp_path):
-        broken = dsm.Dataset.from_states(small_train.manifest, small_train.states[:-1])
+        columns = (getattr(small_train, c)[:-1] for c in dsm.COLUMNS)
+        broken = dsm.Dataset(small_train.manifest, *columns)
         with pytest.raises(dsm.DatasetIntegrityError):
             dsm.save_dataset(broken, tmp_path / "x.qent")

@@ -51,16 +51,20 @@ class TestAccuracy:
         assert hn.evaluate_accuracy(model, mixed, "mixed").accuracy == 0.0
 
     def test_constant_guess_on_balanced_labels(self):
-        labels = np.array([[0], [1], [0], [1]], dtype=np.uint8)
-        states = []
         rng = seeded_rng(51, 0)
-        for lab in labels:
-            rho = dsm.mixture_of_separable(3, 2, rng)
-            negs = ent.negativity_vector(rho)
-            states.append(
-                dsm.LabeledState(rho, np.array([lab[0], 0, 0], np.uint8), negs, dsm.Provenance(0))
-            )
-        ds = dsm.Dataset.from_states(dsm.DatasetManifest(3, "negativity", {"all": 4}, 51), states)
+        rhos = np.stack([dsm.mixture_of_separable(3, 2, rng) for _ in range(4)])
+        labels = np.zeros((4, 3), dtype=np.uint8)
+        labels[:, 0] = [0, 1, 0, 1]
+        negs = np.stack([ent.negativity_vector(rho) for rho in rhos])
+        ds = dsm.Dataset(
+            dsm.DatasetManifest(3, "negativity", {"all": 4}, 51),
+            np.stack([rhos.real, rhos.imag], axis=1),
+            labels,
+            negs,
+            np.zeros(4, np.uint8),
+            np.zeros(4, np.uint16),
+            np.zeros(4, np.uint32),
+        )
         model = _FixedModel(np.full((4, 3), 0.45))
         mask = np.zeros((4, 3), dtype=bool)
         mask[:, 0] = True
@@ -86,6 +90,14 @@ class TestAccuracy:
         report = hn.evaluate_accuracy(model, mixed)
         for bp in report.per_bipartition:
             assert bp.tp + bp.tn + bp.fp + bp.fn == len(mixed)
+
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered")
+    def test_empty_test_set(self):
+        pure, _ = dsm.build_test_sets(3, 0.00001, seed=52)
+        model = mdl.build_cnn(tiny_arch(), seed=5)
+        report = hn.evaluate_accuracy(model, pure, "pure")
+        assert report.num_samples == 0 and np.isnan(report.accuracy)
+        assert report.probabilities.shape == (0, 3)
 
 
 class TestConvNeg:
@@ -281,35 +293,7 @@ class TestConcat:
         assert [s.provenance for s in back.states] == parts
 
 
-class TestRunExperiment:
-    def test_end_to_end_report_bundle(self):
-        plan = hn.ExperimentPlan(
-            n_qubits=3,
-            strategy="verified",
-            scale=0.001,
-            model_kind="cnn",
-            train=mdl.TrainConfig(epochs=1, seed=63, batch_size=32),
-            data_seed=63,
-            arch=tiny_arch(),
-            pptes_count=5,
-            retrain_pptes=True,
-            retrain_epochs=1,
-        )
-        result = hn.run_experiment(plan)
-        names = [r.dataset for r in result.reports]
-        assert names == [
-            "pure_test",
-            "mixed_test",
-            "mixed_test_combined",
-            "pptes_horodecki",
-            "pptes_acin",
-            "pptes_upb",
-        ]
-        assert len(result.retrained_reports) == len(result.reports)
-        for r in result.reports:
-            assert 0.0 <= r.accuracy <= 1.0
-            assert r.config["strategy"] == "verified"
-
+class TestWriters:
     def test_writers(self, tmp_path):
         reports = [
             hn.MetricsReport("a", 1, 3, 0.5, [], 0.25, 0.1, 1.0),
