@@ -1,4 +1,4 @@
-"""Minimal reverse-mode autodiff over float64 numpy arrays.
+"""Minimal reverse-mode autodiff over float32 or float64 numpy arrays.
 
 Exactly the layers the classifiers need: valid-padding 2-D cross-correlation,
 dense affine maps, ReLU, sigmoid, binary cross entropy, and a handful of
@@ -18,10 +18,15 @@ Convolutions are im2col products (Chellapilla, Puri & Simard 2006): the
 forward pass is one GEMM over the unrolled input windows, and the input
 gradient is one GEMM into window space followed by the col2im scatter-add
 of each kernel offset into its shifted input slice.
+
+Ops follow the dtype of their inputs: a float32 graph computes, stores its
+gradients and keeps Adam's moments in float32, and a tensor made from
+non-float data holds float64.
 """
 
 import math
 import struct
+import zlib
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -29,7 +34,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 BCE_CLAMP = 1e-7
 
 CHECKPOINT_MAGIC = b"QENM"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 def _released(g):
@@ -43,7 +50,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -65,7 +73,7 @@ class Tensor:
         # op made g for this call alone (fresh).  Otherwise it is copied,
         # because g may be another node's gradient or a view of one.
         if self.grad is None:
-            self.grad = g if fresh else np.array(g, dtype=np.float64)
+            self.grad = g if fresh else np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g
 
@@ -324,7 +332,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
             bias.accumulate(gmat.sum(axis=0))
         if x.requires_grad:
             gcol = (gmat @ kmat).reshape(bsz, ho, wo, kh, kw, c_in)
-            gx = np.zeros((bsz, h, w, c_in))
+            gx = np.zeros((bsz, h, w, c_in), dtype=x.data.dtype)
             for i in range(kh):
                 for j in range(kw):
                     gx[:, i : i + ho, j : j + wo] += gcol[:, :, :, i, j]
@@ -337,11 +345,12 @@ def bce_mean(p: Tensor, targets) -> Tensor:
     """Binary cross entropy averaged over every element.
 
     Probabilities are clamped to [BCE_CLAMP, 1 - BCE_CLAMP] before the logs;
-    the clamp is treated as a hard gate in the backward pass.  Raises
+    the clamp is treated as a hard gate in the backward pass.  Targets are
+    cast to the dtype of ``p``, and the loss and gradient keep it.  Raises
     ArithmeticError when the loss comes out non-finite (NaN poisoning is
     caught here rather than mid-graph).
     """
-    q = np.asarray(targets, dtype=np.float64)
+    q = np.asarray(targets, dtype=p.data.dtype)
     if q.shape != p.data.shape:
         raise ValueError(f"bce_mean: targets {q.shape} vs predictions {p.data.shape}")
     pc = np.clip(p.data, BCE_CLAMP, 1.0 - BCE_CLAMP)
@@ -362,10 +371,11 @@ class Adam:
     """Adaptive-moment gradient descent over a fixed parameter list (Kingma & Ba 2015).
 
     ``step`` updates the moments and every parameter's ``data`` array in
-    place, so references to those arrays see the new values.  Its only
-    temporary is one scratch buffer, sized to the largest parameter and
-    shared by all of them; it lives for one step, so it adds nothing to
-    the memory held while the next batch runs.
+    place, so references to those arrays see the new values.  The moments
+    take each parameter's dtype.  The only temporary is one scratch buffer,
+    sized in bytes to the largest parameter, shared by all of them and
+    viewed at each one's dtype; it lives for one step, so it adds nothing
+    to the memory held while the next batch runs.
     """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -383,10 +393,10 @@ class Adam:
         t = self.step_count
         c1 = 1.0 - self.beta1**t
         c2 = 1.0 - self.beta2**t
-        scratch = np.empty(max((m.size for m in self._m), default=0))
+        scratch = np.empty(max((m.nbytes for m in self._m), default=0), dtype=np.uint8)
         for p, m, v in zip(self.params, self._m, self._v):
             g = 0.0 if p.grad is None else p.grad
-            s = scratch[: m.size].reshape(m.shape)
+            s = scratch[: m.nbytes].view(m.dtype).reshape(m.shape)
             np.multiply(g, 1.0 - self.beta1, out=s)
             m *= self.beta1
             m += s
@@ -407,25 +417,31 @@ class Adam:
 
 
 def save_params(path, arrays) -> None:
-    """Write float64 arrays to a checkpoint; round-trips bit-exactly."""
+    """Write arrays as float64 with a CRC-32 tail; round-trips bit-exactly.
+
+    float32 arrays are upcast, which is exact, so they also come back
+    bit for bit once cast down again.
+    """
+    blob = [struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(arrays))]
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype="<f8")
+        blob.append(struct.pack(f"<I{a.ndim}I", a.ndim, *a.shape))
+        blob.append(a.tobytes())
+    blob = b"".join(blob)
     with open(path, "wb") as f:
-        f.write(struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(arrays)))
-        for a in arrays:
-            a = np.ascontiguousarray(a, dtype="<f8")
-            f.write(struct.pack("<I", a.ndim))
-            f.write(struct.pack(f"<{a.ndim}I", *a.shape))
-            f.write(a.tobytes())
+        f.write(blob)
+        f.write(struct.pack("<I", zlib.crc32(blob)))
 
 
 def load_params(path) -> list:
+    """Read a checkpoint's arrays as float64.
+
+    Raises ValueError naming the fault: bad magic, another version, a
+    structure that runs past the file (truncated), trailing bytes, or a
+    checksum mismatch.  The structure is checked before the checksum.
+    """
     with open(path, "rb") as f:
         raw = f.read()
-
-    def unpack(fmt, off):
-        if off + struct.calcsize(fmt) > len(raw):
-            raise ValueError(f"{path}: checkpoint truncated")
-        return struct.unpack_from(fmt, raw, off)
-
     head = struct.calcsize("<4sII")
     if len(raw) < head:
         raise ValueError(f"{path}: not a checkpoint (too short)")
@@ -434,6 +450,15 @@ def load_params(path) -> list:
         raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+    end = len(raw) - 4  # the CRC tail
+    if end < head:
+        raise ValueError(f"{path}: checkpoint truncated")
+
+    def unpack(fmt, off):
+        if off + struct.calcsize(fmt) > end:
+            raise ValueError(f"{path}: checkpoint truncated")
+        return struct.unpack_from(fmt, raw, off)
+
     arrays = []
     off = head
     for _ in range(n_arrays):
@@ -441,12 +466,15 @@ def load_params(path) -> list:
         shape = unpack(f"<{ndim}I", off + 4)
         off += 4 + 4 * ndim
         count = math.prod(shape)
-        if off + 8 * count > len(raw):
+        if off + 8 * count > end:
             raise ValueError(f"{path}: checkpoint truncated")
         arrays.append(
             np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape).copy()
         )
         off += 8 * count
-    if off != len(raw):
-        raise ValueError(f"{path}: {len(raw) - off} trailing bytes")
+    if off != end:
+        raise ValueError(f"{path}: {end - off} trailing bytes")
+    (crc_stored,) = struct.unpack_from("<I", raw, end)
+    if zlib.crc32(memoryview(raw)[:end]) != crc_stored:
+        raise ValueError(f"{path}: checkpoint checksum mismatch")
     return arrays

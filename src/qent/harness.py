@@ -62,12 +62,16 @@ def _neg_indicator(negs: np.ndarray) -> np.ndarray:
 
 
 def _agreement(preds: np.ndarray, negs: np.ndarray) -> float:
-    """Fraction of (sample, cut) decisions equal to the negativity indicator."""
+    """Fraction of (sample, cut) decisions equal to the negativity indicator; NaN on none."""
+    if negs.size == 0:
+        return float("nan")
     return float(1.0 - (preds != _neg_indicator(negs)).mean())
 
 
 def npt_fraction(negs: np.ndarray) -> float:
-    """Fraction of states with at least one certified-entangled cut."""
+    """Fraction of states with at least one certified-entangled cut; NaN on none."""
+    if len(negs) == 0:
+        return float("nan")
     return float(np.mean(np.any(negs > ent.NPT_THRESHOLD, axis=1)))
 
 
@@ -176,7 +180,7 @@ def train_model(
         )
     t0 = time.perf_counter()
     x_all = train_ds.channels
-    q_all = train_ds.labels.astype(np.float64)
+    q_all = train_ds.labels.astype(mdl.DTYPE)
     x_val = q_val = None
     if valid_ds is not None:
         x_val, q_val = valid_ds.channels, valid_ds.labels

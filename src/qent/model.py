@@ -22,6 +22,10 @@ from .entanglement import num_bipartitions, permuted_bipartition_index
 from .qcore import num_qubits, permute_qubits
 from .stategen import random_local_unitary
 
+# The arithmetic of parameters, activations, gradients and Adam's moments.
+# The corpus stays float64; forward casts each batch once at its input.
+DTYPE = np.float32
+
 
 @dataclass
 class ArchConfig:
@@ -103,7 +107,8 @@ class CnnClassifier:
 
         def init(shape, fan_in):
             bound = sqrt(1.0 / fan_in)
-            return ag.Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+            w = rng.uniform(-bound, bound, size=shape).astype(DTYPE)  # float64 draws, cast once
+            return ag.Tensor(w, requires_grad=True)
 
         k = arch.kernel
         self.conv_kernels, self.conv_biases = [], []
@@ -136,12 +141,16 @@ class CnnClassifier:
         return params
 
     def forward(self, x: ag.Tensor) -> ag.Tensor:
-        """Probabilities for a [B, 2, K, K] channel batch."""
+        """Probabilities for a [B, 2, K, K] channel batch.
+
+        The batch is cast to ``DTYPE`` here, once; the cast is not
+        differentiated, so gradients stop at the model's input.
+        """
         if x.shape[1:] != (2, self.arch.input_dim, self.arch.input_dim):
             raise ValueError(
                 f"expected input [B, 2, {self.arch.input_dim}, {self.arch.input_dim}], got {x.shape}"
             )
-        h = x
+        h = x if x.data.dtype == DTYPE else ag.Tensor(x.data.astype(DTYPE))
         for kern, b in zip(self.conv_kernels, self.conv_biases):
             h = ag.relu(ag.conv2d(h, kern, b))
         h = h.reshape((h.shape[0], -1))
@@ -159,7 +168,7 @@ class CnnClassifier:
         for p, a in zip(params, arrays):
             if a.shape != p.data.shape:
                 raise ValueError(f"array shape {a.shape} != parameter shape {p.data.shape}")
-            p.data = np.array(a, dtype=np.float64)
+            p.data = np.array(a, dtype=DTYPE)
 
 
 def build_cnn(cfg: ArchConfig, seed: int = 0) -> CnnClassifier:
@@ -189,7 +198,9 @@ def predict_encoded(model: CnnClassifier, x: np.ndarray, batch_size: int = 256) 
     outs = []
     for lo in range(0, x.shape[0], batch_size):
         outs.append(model.forward(ag.Tensor(x[lo : lo + batch_size])).data)
-    return np.concatenate(outs, axis=0) if outs else np.empty((0, model.arch.num_outputs))
+    if not outs:
+        return np.empty((0, model.arch.num_outputs), dtype=DTYPE)
+    return np.concatenate(outs, axis=0)
 
 
 def cnn_loss(model: CnnClassifier, x: np.ndarray, labels: np.ndarray) -> ag.Tensor:

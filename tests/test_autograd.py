@@ -292,6 +292,16 @@ class TestBce:
         with pytest.raises(ArithmeticError):
             ag.bce_mean(p, np.array([[1.0]]))
 
+    def test_clamp_gates_in_float32(self):
+        # 1 - 1e-7 rounds to 1 - 2**-23 in float32, still below 1
+        assert np.float32(1.0 - ag.BCE_CLAMP) == 1.0 - 2.0**-23
+        for q in ([[0.0, 1.0]], [[1.0, 0.0]]):
+            p = ag.Tensor(np.array([[0.0, 1.0]], dtype=np.float32), requires_grad=True)
+            loss = ag.bce_mean(p, np.array(q))
+            assert loss.data.dtype == np.float32 and np.isfinite(loss.item())
+            loss.backward()
+            assert p.grad.dtype == np.float32 and np.array_equal(p.grad, [[0.0, 0.0]])
+
 
 class TestAdam:
     def test_zero_gradient_no_motion(self):
@@ -432,12 +442,13 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(8)
         arrays = [rng.normal(size=s) for s in ((3, 4), (7,), (2, 2, 2, 2))]
+        arrays.append(rng.normal(size=(5, 4)).astype(np.float32))  # upcast to <f8 exactly
         path = tmp_path / "p.ckpt"
         ag.save_params(path, arrays)
         back = ag.load_params(path)
-        assert len(back) == 3
+        assert len(back) == 4
         for a, b in zip(arrays, back):
-            assert a.shape == b.shape
+            assert a.shape == b.shape and b.dtype == np.float64
             assert np.array_equal(a, b)
 
     def test_bad_magic(self, tmp_path):
@@ -461,4 +472,23 @@ class TestCheckpoint:
         ndim = 12  # first array's ndim
         path.write_bytes(raw[:ndim] + struct.pack("<I", 2**32 - 1) + raw[ndim + 4 :])
         with pytest.raises(ValueError, match="truncated"):
+            ag.load_params(path)
+
+    def test_flipped_payload_byte_fails_checksum(self, tmp_path):
+        path = tmp_path / "p.ckpt"
+        ag.save_params(path, [np.arange(6.0).reshape(2, 3)])
+        raw = bytearray(path.read_bytes())
+        raw[-5] ^= 0x01  # last payload byte, just before the CRC tail
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="checksum"):
+            ag.load_params(path)
+
+    def test_version_1_raises_version_error(self, tmp_path):
+        # version 1: the same layout without the CRC tail
+        a = np.arange(3.0)
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(
+            struct.pack("<4sIIII", ag.CHECKPOINT_MAGIC, 1, 1, 1, 3) + a.astype("<f8").tobytes()
+        )
+        with pytest.raises(ValueError, match="version 1, expected 2"):
             ag.load_params(path)

@@ -129,7 +129,7 @@ class TestEval:
         acc = float(line.split(",")[1])
         assert 0.0 <= acc <= 1.0
 
-    @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("error")
     def test_empty_corpora_evaluate(self, workspace, tmp_path):
         data = tmp_path / "data"
         assert run(["gen", "--qubits", 3, "--scale", 0.00001, "--seed", 11, "--out", data,

@@ -1,11 +1,12 @@
-"""Pinned SHA-256 digests of small corpora and a small checkpoint.
+"""Pinned SHA-256 digests of small corpora and small checkpoints.
 
 A change that alters these bytes must update the digest here on purpose
 and record the old and new values in CHANGES.md.  Corpus bytes come from
 the generators and the file format only.  Checkpoint bytes also depend on
-the rounding of the training arithmetic (conv2d, dense, Adam) and of the
-BLAS kernels underneath it; the pinned value is for OpenBLAS 0.3.31 on
-x86-64 with numpy 2.4.  It does not depend on the BLAS thread count.
+the rounding of the training arithmetic (conv2d, dense, Adam), which runs
+in float32, and of the BLAS kernels underneath it; the pinned values are
+for OpenBLAS 0.3.31 on x86-64 with numpy 2.4, and checkpoint format
+version 2.  They do not depend on the BLAS thread count.
 """
 
 import hashlib
@@ -22,10 +23,10 @@ from qent import model as mdl
 
 CORPUS_SHA256 = "083f5ceb5b60eb63ca90cfba6fd880b4bb782e40f76662b95ad7ace8164582e5"
 MANIFEST_SHA256 = "4703b46e3a1deb9a034dd1fa4bdaa8a28f28025813942c86c50b73e91ff44d2b"
-CHECKPOINT_SHA256 = "948d9b5e0b3c897963079e78ae0bdd9336e09e388ee0c7f4fc5879cdf4881913"
+CHECKPOINT_SHA256 = "986645570558091a398a779bdf91d2f855d622ce980283c90ba6fc9cdc143d47"
 # The same tiny model trained with the Siamese loss, whose rotation draws go
 # through stategen.random_local_unitary.
-SIAMESE_CHECKPOINT_SHA256 = "b049dd9eb8140f96abb528a87b2c3cc3ced54b39e536a1263379fd0cde2d2339"
+SIAMESE_CHECKPOINT_SHA256 = "d05b92f635d6dd3343b5767f706dcab87da769d56583bcccf20eacf0e639971e"
 ARCH_SHA256 = "ff7be69d38d7231770e350bcca8df27036d2cb33dbc3239caade93c541768520"
 
 # (corpus, manifest) digests of further sets, all seed 21: the 3-qubit pure

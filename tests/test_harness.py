@@ -91,7 +91,7 @@ class TestAccuracy:
         for bp in report.per_bipartition:
             assert bp.tp + bp.tn + bp.fp + bp.fn == len(mixed)
 
-    @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("error")
     def test_empty_test_set(self):
         pure, _ = dsm.build_test_sets(3, 0.00001, seed=52)
         model = mdl.build_cnn(tiny_arch(), seed=5)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,13 +14,23 @@ def small_arch(n=3):
     return mdl.ArchConfig(n_qubits=n, r1=4.0, fc_layers=2, fc_units=16)
 
 
+# About four float32 ulps at the losses of these batches (0.5 to 1), where
+# the float32 loss lands within one ulp of its float64 oracle.
+F32_LOSS_TOL = 2.5e-7
+
+
 def bce_oracle(probs, labels, eps=1e-7):
-    """Scalar reimplementation of the clamped mean cross entropy."""
+    """Scalar float64 reimplementation of the clamped mean cross entropy.
+
+    The clamp bounds are rounded to the dtype of ``probs``, as the loss
+    rounds them; for float32 probabilities this is the float32-rounded oracle.
+    """
+    lo, hi = (float(probs.dtype.type(v)) for v in (eps, 1 - eps))
     total = 0.0
     n, m = probs.shape
     for i in range(n):
         for j in range(m):
-            p = min(max(probs[i, j], eps), 1 - eps)
+            p = min(max(float(probs[i, j]), lo), hi)
             q = labels[i, j]
             total += q * np.log(p) + (1 - q) * np.log(1 - p)
     return -total / (n * m)
@@ -113,9 +125,10 @@ class TestLosses:
     def test_cnn_loss_matches_scalar_oracle(self, batch):
         x, q = batch
         model = mdl.build_cnn(small_arch(), seed=1)
-        got = mdl.cnn_loss(model, x, q).item()
+        loss = mdl.cnn_loss(model, x, q)
         probs = mdl.predict_encoded(model, x)
-        assert abs(got - bce_oracle(probs, q)) < 1e-12
+        assert loss.data.dtype == probs.dtype == np.float32
+        assert abs(loss.item() - bce_oracle(probs, q)) < F32_LOSS_TOL
 
     def test_constant_half_is_log_two(self):
         q = np.array([[0.0, 1.0, 1.0]])
@@ -170,8 +183,8 @@ class TestLosses:
         p1 = mdl.predict_encoded(model, x)
         p3 = mdl.predict_encoded(model, mdl.permute_batch(x, perm))
         remap = [ent.permuted_bipartition_index(j, perm, 3) - 1 for j in (1, 2, 3)]
-        want = bce_oracle(p1, q) + np.abs(p1 - p3[:, remap]).mean()
-        assert abs(got - want) < 1e-12
+        want = bce_oracle(p1, q) + np.abs(p1.astype(np.float64) - p3[:, remap]).mean()
+        assert abs(got - want) < F32_LOSS_TOL
 
     def test_locc_batch_is_unitary_conjugation(self, batch):
         x, _ = batch
@@ -188,6 +201,22 @@ class TestLosses:
         loss.backward()
         assert all(p.grad is not None for p in model.parameters())
 
+    @pytest.mark.parametrize("kind", ["cnn", "siamese"])
+    def test_step_stays_float32(self, batch, kind):
+        """A silent promotion to float64 would undo the float32 speedup."""
+        x, q = batch
+        model = mdl.build_cnn(small_arch(), seed=1)
+        opt = ag.Adam(model.parameters())
+        if kind == "cnn":
+            loss = mdl.cnn_loss(model, x, q)
+        else:
+            loss = mdl.siamese_loss(model, x, q, 0.5, 0.5, np.random.default_rng(7))
+        loss.backward()
+        opt.step()
+        assert loss.data.dtype == np.float32
+        for p, m, v in zip(model.parameters(), opt._m, opt._v):
+            assert p.data.dtype == p.grad.dtype == m.dtype == v.dtype == np.float32
+
 
 class TestCheckpointing:
     def test_save_load_round_trip(self, tmp_path):
@@ -197,6 +226,7 @@ class TestCheckpointing:
         back = mdl.load_model(path)
         assert back.arch == model.arch
         for a, b in zip(model.param_arrays(), back.param_arrays()):
+            assert a.dtype == b.dtype == np.float32
             assert np.array_equal(a, b)
         rho = ent.upb_state()
         assert np.array_equal(mdl.predict(model, rho), mdl.predict(back, rho))
@@ -214,4 +244,13 @@ class TestCheckpointing:
         sidecar = tmp_path / "model.ckpt.arch"
         sidecar.write_text(edit(sidecar.read_text()))
         with pytest.raises(ValueError, match=key):
+            mdl.load_model(path)
+
+    def test_version_1_checkpoint_raises_version_error(self, tmp_path):
+        # version 1 had the same layout without the CRC tail
+        path = tmp_path / "old.ckpt"
+        mdl.save_model(mdl.build_cnn(small_arch(), seed=2), path)
+        raw = path.read_bytes()[:-4]
+        path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+        with pytest.raises(ValueError, match="checkpoint version 1"):
             mdl.load_model(path)
