@@ -77,11 +77,12 @@ def cmd_gen(args) -> int:
     else:
         raise ValueError(f"unknown --set {args.set!r}")
     dt = time.perf_counter() - t0
+    rate = sum(count for _, count in written) / dt
     for name, count in written:
         # exit 0 only for files that read back clean
         if len(dsm.load_dataset(out / name)) != count:
             raise dsm.DatasetIntegrityError(f"{out / name}: reread count mismatch")
-        print(f"wrote {out / name}: {count} states ({dt:.1f}s total)")
+        print(f"wrote {out / name}: {count} states ({dt:.1f}s total, {rate:.0f} states/s)")
     return 0
 
 
@@ -111,11 +112,12 @@ def cmd_train(args) -> int:
 
     steps_per_epoch = max(1, (len(train_ds) + cfg.batch_size - 1) // cfg.batch_size)
     with open(str(ckpt) + ".log.csv", "w") as f:
-        f.write("epoch,mean_loss,val_accuracy\n")
+        f.write("epoch,mean_loss,val_accuracy,seconds,samples_per_s\n")
         for e in range(cfg.epochs):
             chunk = result.step_losses[e * steps_per_epoch : (e + 1) * steps_per_epoch]
             val = result.val_accuracies[e] if e < len(result.val_accuracies) else ""
-            f.write(f"{e},{np.mean(chunk)!r},{val!r}\n")
+            secs, rate = result.epoch_seconds[e], result.epoch_samples_per_s[e]
+            f.write(f"{e},{np.mean(chunk)!r},{val!r},{secs!r},{rate!r}\n")
     best = f", best epoch {result.best_epoch}" if result.best_epoch is not None else ""
     print(f"wrote {ckpt} after {len(result.step_losses)} steps in {result.seconds:.1f}s{best}")
     return 0

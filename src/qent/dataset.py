@@ -23,7 +23,7 @@ import numpy as np
 
 from . import entanglement as ent
 from . import stategen as sg
-from .qcore import kron_all
+from .qcore import kron_all, partial_trace
 from .qcore import num_qubits as dim_to_qubits
 from .qcore import validate_density_matrix
 from .rng import seeded_rng
@@ -229,35 +229,128 @@ class StateView(Sequence):
             raise DatasetIntegrityError(f"row {i}: {exc}") from None
 
 
+def check_labels(ds: Dataset) -> None:
+    """Raise DatasetIntegrityError at the first row whose labels or negativities are bad.
+
+    Bad is a label outside {0, 1}, or a negativity that is not finite or is
+    negative.  The message names the column and the row.
+    """
+    bad_labels = (ds.labels != 0) & (ds.labels != 1)
+    bad_negs = ~(np.isfinite(ds.negs) & (ds.negs >= 0))
+    for name, bad in (("labels", bad_labels), ("negs", bad_negs)):
+        rows = np.flatnonzero(bad.any(axis=1))
+        if rows.size:
+            raise DatasetIntegrityError(f"column {name}, row {rows[0]}: {getattr(ds, name)[rows[0]]}")
+
+
 # --- section generators ----------------------------------------------------
 #
-# Each maker returns one row: (rho, labels, negs, generator, d, mask).
+# Each maker is a coroutine that makes its sample's draws in order and
+# returns one row: (rho, labels, negs, generator, d, mask).  It yields its
+# array work as ``(fn, batch)``: ``sg.run_circuits`` with a list of circuit
+# specs, ``ent.negativity_vector`` or ``ent.label_by_negativity`` with an
+# ``[m, K, K]`` stack, or ``_pure_negativities`` with ``[m, K]`` states,
+# and is sent back ``fn``'s result for its batch.
+
+# Samples run side by side in one group of waves, and rows per stacked call,
+# at most.  A negativity call holds at most WAVE rows of 8x8 matrices' worth
+# of elements (2 rows at 5 qubits), so the streams and partial-transpose
+# stacks held at once stay small at any scale.
+WAVE = 32
+
+
+def _waves(makers) -> list:
+    """Run maker coroutines side by side; returns the rows they return, in order.
+
+    Pending requests with the same function and row size run as stacked
+    calls of at most WAVE rows, circuit runs before negativities, so a
+    circuit and its labels share a wave.  Each sample draws only from its
+    own stream, so no row depends on which samples share a call.
+    """
+    rows = [None] * len(makers)
+    pending = {}
+
+    def advance(i, result):
+        try:
+            fn, batch = makers[i].send(result)
+        except StopIteration as done:
+            rows[i] = done.value
+            return
+        size = batch[0].num_qubits if isinstance(batch, list) else batch.shape[1:]
+        pending.setdefault((fn, size), []).append((i, batch))
+
+    for i in range(len(makers)):
+        advance(i, None)
+    while pending:
+        fn, size = min(pending, key=lambda key: key[0] is not sg.run_circuits)
+        requests = pending.pop((fn, size))
+        limit = WAVE if isinstance(size, int) else max(1, WAVE * 64 // size[-1] ** 2)
+        for (i, _), result in zip(requests, _stacked(fn, [b for _, b in requests], limit)):
+            advance(i, result)
+    return rows
+
+
+def _stacked(fn, batches, limit) -> list:
+    """``fn`` over the joined batches in calls of at most ``limit`` rows, split back per batch."""
+    if isinstance(batches[0], np.ndarray):
+        joined = np.concatenate(batches)
+    else:
+        joined = [spec for batch in batches for spec in batch]
+    outs = [fn(joined[lo : lo + limit]) for lo in range(0, len(joined), limit)]
+    parts = [np.concatenate(p) for p in zip(*outs)] if isinstance(outs[0], tuple) else [np.concatenate(outs)]
+    ends = np.cumsum([len(b) for b in batches]).tolist()
+    cut = [[p[hi - len(b) : hi] for p in parts] for b, hi in zip(batches, ends)]
+    return [tuple(c) if len(parts) > 1 else c[0] for c in cut]
 
 
 def _as_rho(psi: np.ndarray) -> np.ndarray:
-    return np.outer(psi, psi.conj())
+    """Projector of a state vector, or ``[m, K, K]`` projectors of ``[m, K]`` states."""
+    return psi[..., :, None] * psi.conj()[..., None, :]
+
+
+def _gave_up(generator: str, n: int) -> DatasetError:
+    return DatasetError(f"{generator}: no {n}-qubit state accepted in {MAX_ATTEMPTS} attempts")
 
 
 def _attempts(generator: str, n: int):
     """Attempt indices for a rejection loop; raises once MAX_ATTEMPTS are spent."""
     yield from range(MAX_ATTEMPTS)
-    raise DatasetError(
-        f"{generator}: no {n}-qubit state accepted in {MAX_ATTEMPTS} attempts"
-    )
+    raise _gave_up(generator, n)
 
 
-def _pure_separable(n: int, rng) -> tuple:
-    rho = _as_rho(sg.random_circuit_state(n, False, rng)[0])
-    return (rho, *ent.label_by_negativity(rho), GEN_PURE_SEP_CIRCUIT, 1, 0)
+def _circuits(n: int, entangling: bool, count: int, rng):
+    """``count`` circuits drawn in order and run in one request; returns (states, specs)."""
+    specs = [sg.draw_circuit(n, entangling, rng) for _ in range(count)]
+    return (yield sg.run_circuits, specs), specs
 
 
-def _pure_product(n: int, rng) -> tuple:
+def _pure_negativities(psis: np.ndarray) -> np.ndarray:
+    """``negativity_vector`` of the projectors of ``[m, K]`` state vectors."""
+    return ent.negativity_vector(_as_rho(psis))
+
+
+def _label(rho: np.ndarray):
+    labels, negs = yield ent.label_by_negativity, rho[None]
+    return labels[0], negs[0]
+
+
+def _negativities(rho: np.ndarray):
+    return (yield ent.negativity_vector, rho[None])[0]
+
+
+def _pure_separable(n: int, rng):
+    (psi,), _ = yield from _circuits(n, False, 1, rng)
+    rho = _as_rho(psi)
+    return (rho, *(yield from _label(rho)), GEN_PURE_SEP_CIRCUIT, 1, 0)
+
+
+def _pure_product(n: int, rng):
     factors = [sg.haar_state(1, rng) for _ in range(n)]
     rho = _as_rho(kron_all(list(reversed(factors))))
-    return (rho, *ent.label_by_negativity(rho), GEN_PURE_SEP_PRODUCT, 1, 0)
+    return (rho, *(yield from _label(rho)), GEN_PURE_SEP_PRODUCT, 1, 0)
 
 
-def _pure_entangled(n: int, rng, ghz_w_fraction: float = 0.1) -> tuple:
+def _pure_entangled(n: int, rng, ghz_w_fraction: float = 0.1):
     """One pure state with at least one certified-entangled cut.
 
     Pool mix: random entangling circuits and Haar states in equal measure,
@@ -271,59 +364,83 @@ def _pure_entangled(n: int, rng, ghz_w_fraction: float = 0.1) -> tuple:
             gen = GEN_PURE_GHZ if r < ghz_w_fraction else GEN_PURE_W
             psi = sg.randomize_local(base, rng)
         elif r < 0.5 + ghz_w_fraction:
-            psi, spec = sg.random_circuit_state(n, True, rng)
+            (psi,), (spec,) = yield from _circuits(n, True, 1, rng)
             gen = GEN_PURE_ENT_CIRCUIT
             mask = pairs_to_mask(spec.cu_pairs, n)
         else:
             psi = sg.haar_state(n, rng)
             gen = GEN_PURE_HAAR
         rho = _as_rho(psi)
-        labels, negs = ent.label_by_negativity(rho)
+        labels, negs = yield from _label(rho)
         if labels.any():
             return rho, labels, negs, gen, 1, mask
 
 
+def _entangled_pures(n: int, d: int, pool: str, rng):
+    """d pure states entangled on every cut, from the 'circuit' or 'haar' pool.
+
+    Attempts come in deficit batches of ``d - accepted``.  Drawn one at a
+    time, the components would take every one of those attempts too, so the
+    stream ends where it would.  MAX_ATTEMPTS failures in a row give up.
+    """
+    if pool not in ("circuit", "haar"):
+        raise ValueError(f"unknown pool {pool!r}")
+    comps, failures = [], 0
+    while len(comps) < d:
+        m = d - len(comps)
+        if pool == "circuit":
+            psis, _ = yield from _circuits(n, True, m, rng)
+        else:
+            psis = np.stack([sg.haar_state(n, rng) for _ in range(m)])
+        negs = yield _pure_negativities, psis
+        for psi, ok in zip(psis, (negs > ent.NPT_THRESHOLD).all(axis=1)):
+            failures = 0 if ok else failures + 1
+            if failures == MAX_ATTEMPTS:
+                raise _gave_up("sample_entangled_pure", n)
+            if ok:
+                comps.append(psi)
+    return comps
+
+
+def _entangled_mixture(n: int, d: int, pool: str, rng):
+    probs = sg.random_probs(d, rng)
+    return sg.mix_states(probs, (yield from _entangled_pures(n, d, pool, rng)))
+
+
+def _separable_mixture(n: int, d: int, rng):
+    probs = sg.random_probs(d, rng)
+    psis, _ = yield from _circuits(n, False, d, rng)
+    return sg.mix_states(probs, psis)
+
+
 def sample_entangled_pure(n: int, pool: str, rng) -> np.ndarray:
     """Pure state entangled on every cut, from the 'circuit' or 'haar' pool."""
-    for _ in _attempts("sample_entangled_pure", n):
-        if pool == "circuit":
-            psi, _ = sg.random_circuit_state(n, True, rng)
-        elif pool == "haar":
-            psi = sg.haar_state(n, rng)
-        else:
-            raise ValueError(f"unknown pool {pool!r}")
-        negs = ent.negativity_vector(_as_rho(psi))
-        if np.all(negs > ent.NPT_THRESHOLD):
-            return psi
+    return _waves([_entangled_pures(n, 1, pool, rng)])[0][0]
 
 
 def mixture_of_entangled(n: int, d: int, pool: str, rng) -> np.ndarray:
     """Mixture of d fully entangled pure states with random weights."""
-    probs = sg.random_probs(d, rng)
-    comps = [sample_entangled_pure(n, pool, rng) for _ in range(d)]
-    return sg.mix_states(probs, comps)
+    return _waves([_entangled_mixture(n, d, pool, rng)])[0]
 
 
 def mixture_of_separable(n: int, d: int, rng) -> np.ndarray:
     """Mixture of d product pure states; separable by construction."""
-    probs = sg.random_probs(d, rng)
-    comps = [sg.random_circuit_state(n, False, rng)[0] for _ in range(d)]
-    return sg.mix_states(probs, comps)
+    return _waves([_separable_mixture(n, d, rng)])[0]
 
 
-def _mixed_separable_mixture(n: int, rng, d_max: int) -> tuple:
+def _mixed_separable_mixture(n: int, rng, d_max: int):
     d = int(rng.integers(2, d_max + 1))
-    rho = mixture_of_separable(n, d, rng)  # separable by construction: labels 0
-    return rho, 0, ent.negativity_vector(rho), GEN_MIXED_SEP_MIXTURE, d, 0
+    rho = yield from _separable_mixture(n, d, rng)  # separable by construction: labels 0
+    return rho, 0, (yield from _negativities(rho)), GEN_MIXED_SEP_MIXTURE, d, 0
 
 
-def _mixed_separable_kron(n: int, rng) -> tuple:
+def _mixed_separable_kron(n: int, rng):
     d = int(rng.integers(1, (1 << n) + 1))
     rho = sg.kron_separable_mixed(n, rng, d=d)
-    return rho, 0, ent.negativity_vector(rho), GEN_MIXED_SEP_KRON, d, 0
+    return rho, 0, (yield from _negativities(rho)), GEN_MIXED_SEP_KRON, d, 0
 
 
-def _mixed_entangled_def(n: int, rng, d_max: int, keep: str) -> tuple:
+def _mixed_entangled_def(n: int, rng, d_max: int, keep: str):
     """Mixture of entangled pure states, kept when negativity certifies it.
 
     ``keep='any'`` requires one certified cut (labels are then the negativity
@@ -333,36 +450,40 @@ def _mixed_entangled_def(n: int, rng, d_max: int, keep: str) -> tuple:
     for _ in _attempts("_mixed_entangled_def", n):
         pool = "circuit" if rng.random() < 0.5 else "haar"
         d = int(rng.integers(2, d_max + 1))
-        rho = mixture_of_entangled(n, d, pool, rng)
-        labels, negs = ent.label_by_negativity(rho)
+        rho = yield from _entangled_mixture(n, d, pool, rng)
+        labels, negs = yield from _label(rho)
         ok = labels.all() if keep == "all" else labels.any()
         if ok:
             gen = GEN_MIXED_DEF_CIRCUIT if pool == "circuit" else GEN_MIXED_DEF_HAAR
             return rho, labels, negs, gen, d, 0
 
 
-def _mixed_entangled_traced(n: int, rng, strategy: str) -> tuple:
-    """Marginal of a larger entangled circuit state, labeled per strategy."""
+def _mixed_entangled_traced(n: int, rng, strategy: str):
+    """Marginal of a larger entangled circuit state, labeled per strategy.
+
+    The state is :func:`stategen.traced_mixed_state`'s: the top qubits of the
+    circuit register are traced out; ``weakly`` labels add its bridged cuts.
+    """
     for _ in _attempts("_mixed_entangled_traced", n):
         n_extra = int(rng.integers(1, 3))
-        rho, spec = sg.traced_mixed_state(n, n_extra, rng)
+        (psi,), (spec,) = yield from _circuits(n + n_extra, True, 1, rng)
+        rho = partial_trace(_as_rho(psi), range(n, n + n_extra))
+        labels, negs = yield from _label(rho)
         if strategy == "weakly":
-            labels, negs = ent.label_weakly(rho, spec, range(n))
-        else:
-            labels, negs = ent.label_by_negativity(rho)
-            if strategy == "verified" and not labels.all():
-                continue  # a cut the criterion cannot certify: drop the state
+            labels[ent.bridged_cuts(spec, n)] = 1
+        elif strategy == "verified" and not labels.all():
+            continue  # a cut the criterion cannot certify: drop the state
         return rho, labels, negs, GEN_MIXED_TRACED, 0, pairs_to_mask(spec.cu_pairs, n)
 
 
-def _family_state(family: str, n: int, rng) -> tuple:
+def _family_state(family: str, n: int, rng):
     """One locally randomized state from a bound-entangled family.
 
     Labels carry 1 on the family's defining entangled cuts, plus any cut the
     negativity oracle happens to certify on top of that.
     """
     rho = ent.pptes_state(family, rng, n)
-    negs = ent.negativity_vector(rho)
+    negs = yield from _negativities(rho)
     labels = ent.pptes_defining_labels(family, n) | (negs > ent.NPT_THRESHOLD)
     return rho, labels, negs, PPTES_GEN[family], 0, 0
 
@@ -391,19 +512,25 @@ def _check_build_args(n_qubits: int, scale: float) -> None:
 
 
 def _build_sections(n_qubits, strategy, seed, plan) -> Dataset:
-    """Corpus of ``plan``'s ``(name, count, make, rngs)`` sections, in order.
+    """Corpus of ``plan``'s ``(name, count, make, rngs, width)`` sections, in order.
 
-    Row j of a section is ``make(rngs[j])``, written straight into columns
-    preallocated in the v1 record layout.
+    Row j of a section is the row of the maker ``make(rngs[j])``.  Makers run
+    ``width`` at a time through :func:`_waves`: WAVE when every sample has
+    its own stream, made just before its group, and 1 when a section chains
+    one stream.  Rows go straight into columns preallocated in the v1
+    record layout.
     """
-    manifest = DatasetManifest(n_qubits, strategy, {name: c for name, c, _, _ in plan}, seed)
+    manifest = DatasetManifest(n_qubits, strategy, {name: c for name, c, *_ in plan}, seed)
     fields = _record_dtype(n_qubits)
     cols = [np.empty((manifest.count, *fields[c].shape), fields[c].base) for c in COLUMNS]
-    rows = (make(rng) for _, _, make, rngs in plan for rng in rngs)
-    for row, (rho, *values) in enumerate(rows):
-        cols[0][row] = rho.real, rho.imag
-        for col, value in zip(cols[1:], values):
-            col[row] = value
+    row = 0
+    for _, count, make, rngs, width in plan:
+        for lo in range(0, count, width):
+            for rho, *values in _waves([make(next(rngs)) for _ in range(min(width, count - lo))]):
+                cols[0][row] = rho.real, rho.imag
+                for col, value in zip(cols[1:], values):
+                    col[row] = value
+                row += 1
     return Dataset(manifest, *cols)
 
 
@@ -411,12 +538,13 @@ def _scaled_plan(plan, scale, seed, set_tag) -> list:
     """``(name, full count, make)`` sections, scaled.
 
     Sample i of section ``tag`` draws from its own stream
-    ``(seed, set_tag, tag, i)``, made just before the sample.
+    ``(seed, set_tag, tag, i)``.
     """
     out = []
     for tag, (name, full, make) in enumerate(plan):
         count = _scaled(full, scale)
-        out.append((name, count, make, map(partial(seeded_rng, seed, set_tag, tag), range(count))))
+        rngs = map(partial(seeded_rng, seed, set_tag, tag), range(count))
+        out.append((name, count, make, rngs, WAVE))
     return out
 
 
@@ -488,7 +616,7 @@ def build_pptes_testset(family: str, count: int, seed: int, n_qubits: int = 3) -
     if count < 1:
         raise ValueError("count must be positive")
     rngs = repeat(seeded_rng(seed, _SET_PPTES, PPTES_GEN[family]), count)
-    plan = [(f"pptes_{family}", count, partial(_family_state, family, n_qubits), rngs)]
+    plan = [(f"pptes_{family}", count, partial(_family_state, family, n_qubits), rngs, 1)]
     return _build_sections(n_qubits, "family", seed, plan)
 
 
@@ -504,7 +632,7 @@ def build_pptes_extension(scale: float, seed: int) -> Dataset:
     for tag, (name, full, family) in enumerate(sections):
         count = _scaled(full, scale)
         rngs = repeat(seeded_rng(seed, _SET_EXTENSION, 100 + tag), count)
-        plan.append((name, count, partial(_family_state, family, 3), rngs))
+        plan.append((name, count, partial(_family_state, family, 3), rngs, 1))
     return _build_sections(3, "family", seed, plan)
 
 

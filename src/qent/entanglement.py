@@ -89,9 +89,9 @@ def _pt_index(n: int) -> np.ndarray:
 
 def _partial_transposes(rho: np.ndarray, n: int, cut=slice(None)) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (1 << n, 1 << n):
-        raise ValueError(f"expected a {1 << n}x{1 << n} density matrix, got shape {rho.shape}")
-    return rho.reshape(-1)[_pt_index(n)[cut]]
+    if rho.shape[-2:] != (1 << n, 1 << n):
+        raise ValueError(f"expected {1 << n}x{1 << n} density matrices, got shape {rho.shape}")
+    return rho.reshape(*rho.shape[:-2], -1)[..., _pt_index(n)[cut]]
 
 
 def partial_transpose(rho: np.ndarray, bp: Bipartition) -> np.ndarray:
@@ -119,14 +119,23 @@ def negativity(rho: np.ndarray, bp: Bipartition) -> float:
 
 
 def negativity_vector(rho: np.ndarray) -> np.ndarray:
-    """Negativity of every bipartition, in canonical order.
+    """Negativity of every bipartition, in canonical order; ``[..., K, K]`` gives ``[..., cuts]``.
 
     All partial transposes come from one gather and are diagonalized by one
-    stacked eigensolver call.
+    stacked eigensolver call, which runs LAPACK once per matrix, so each row
+    of a stack is bit-equal to a call on its matrix alone.  The negatives of
+    an ascending spectrum lead it, and numpy sums fewer than 8 terms in
+    order, so a ``cumsum`` over the spectrum with the rest zeroed gives
+    ``_negative_mass``'s sum; rows with 8 or more negatives take
+    ``_negative_mass`` itself.
     """
-    n = num_qubits(np.asarray(rho).shape[0])
+    n = num_qubits(np.asarray(rho).shape[-1])
     evs = hermitian_eigenvalues(_partial_transposes(rho, n))
-    return np.array([_negative_mass(e) for e in evs])
+    neg = evs < -NPT_THRESHOLD
+    negs = -np.cumsum(np.where(neg, evs, 0.0), axis=-1)[..., -1] + 0.0  # normalize -0.0 away
+    for at in zip(*np.nonzero(neg.sum(axis=-1) >= 8)):
+        negs[at] = _negative_mass(evs[at])
+    return negs
 
 
 def label_by_negativity(rho: np.ndarray) -> tuple:
@@ -139,18 +148,14 @@ def label_by_negativity(rho: np.ndarray) -> tuple:
     return (negs > NPT_THRESHOLD).astype(np.uint8), negs
 
 
-def label_weakly(rho: np.ndarray, circuit, surviving_qubits=None) -> tuple:
-    """Labels from negativity where conclusive, circuit connectivity elsewhere.
+def bridged_cuts(circuit, n: int, surviving_qubits=None) -> np.ndarray:
+    """Which of the n-qubit state's cuts a controlled gate of ``circuit`` connects.
 
-    A bipartition the partial transpose cannot certify is marked entangled
-    iff some controlled gate in the generating circuit connects its two
-    sides: the gate's control and target bits differ in the cut's side-B
-    mask.  Only gates whose endpoints both survive count;
+    Cut c is bridged when some gate's control and target bits differ in its
+    side-B mask.  Only gates whose endpoints both survive count;
     ``surviving_qubits`` lists the distinct circuit qubit behind each state
-    qubit and defaults to the identity.  Returns ``(labels, neg_values)``.
+    qubit and defaults to the identity.
     """
-    rho = np.asarray(rho, dtype=complex)
-    n = num_qubits(rho.shape[0])
     if surviving_qubits is None:
         surviving_qubits = list(range(n))
     surviving_qubits = [int(q) for q in surviving_qubits]
@@ -168,8 +173,18 @@ def label_weakly(rho: np.ndarray, circuit, surviving_qubits=None) -> tuple:
     b = state_qubit[circuit.targets[cu]]
     live = (a >= 0) & (b >= 0)
     masks = np.arange(2, 1 << n, 2)[:, None]  # side-B masks, canonical order
-    bridged = (((masks >> a[live]) ^ (masks >> b[live])) & 1).any(axis=1)
+    return (((masks >> a[live]) ^ (masks >> b[live])) & 1).any(axis=1)
 
+
+def label_weakly(rho: np.ndarray, circuit, surviving_qubits=None) -> tuple:
+    """Labels from negativity where conclusive, circuit connectivity elsewhere.
+
+    A bipartition the partial transpose cannot certify is marked entangled
+    iff it is one of the :func:`bridged_cuts` of the generating circuit.
+    Returns ``(labels, neg_values)``.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    bridged = bridged_cuts(circuit, num_qubits(rho.shape[0]), surviving_qubits)
     labels, negs = label_by_negativity(rho)
     labels[bridged] = 1
     return labels, negs

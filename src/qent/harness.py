@@ -89,6 +89,7 @@ def evaluate_accuracy(
     they certify entanglement.
     """
     t0 = time.perf_counter()
+    dsm.check_labels(ds)
     labels, negs = ds.labels, ds.negs
     probs = mdl.predict_encoded(model, ds.channels, batch_size)
     preds = _threshold(probs)
@@ -137,6 +138,7 @@ def pptes_eval_mask(ds: dsm.Dataset) -> np.ndarray:
     Defining cuts of the family always count; other cuts count only when the
     stored negativity certifies them.
     """
+    dsm.check_labels(ds)
     mask = _neg_indicator(ds.negs).astype(bool)
     for fam, gen in dsm.PPTES_GEN.items():
         rows = ds.generator == gen
@@ -148,10 +150,15 @@ def pptes_eval_mask(ds: dsm.Dataset) -> np.ndarray:
 
 @dataclass
 class TrainResult:
+    """Per step: losses.  Per epoch: validation accuracy, wall seconds (with
+    validation) and training samples per second."""
+
     step_losses: list
     val_accuracies: list
     best_epoch: int | None
     seconds: float
+    epoch_seconds: list
+    epoch_samples_per_s: list
 
 
 def _plain_accuracy(model, x: np.ndarray, labels: np.ndarray) -> float:
@@ -178,6 +185,9 @@ def train_model(
         raise ValueError(
             f"model is for {model.n_qubits} qubits, data for {train_ds.num_qubits}"
         )
+    for ds in (train_ds, valid_ds):
+        if ds is not None:
+            dsm.check_labels(ds)
     t0 = time.perf_counter()
     x_all = train_ds.channels
     q_all = train_ds.labels.astype(mdl.DTYPE)
@@ -191,8 +201,10 @@ def train_model(
     n = x_all.shape[0]
     step_losses = []
     val_accs = []
+    epoch_s = []
     best = None  # (accuracy, epoch, params)
     for epoch in range(cfg.epochs):
+        e0 = time.perf_counter()
         order = shuffle_rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             sel = order[lo : lo + cfg.batch_size]
@@ -211,11 +223,13 @@ def train_model(
             val_accs.append(acc)
             if best is None or acc > best[0]:
                 best = (acc, epoch, [p.copy() for p in model.param_arrays()])
+        epoch_s.append(time.perf_counter() - e0)
     best_epoch = None
     if best is not None:
         best_epoch = best[1]
         model.set_param_arrays(best[2])
-    return TrainResult(step_losses, val_accs, best_epoch, time.perf_counter() - t0)
+    rates = [n / s for s in epoch_s]
+    return TrainResult(step_losses, val_accs, best_epoch, time.perf_counter() - t0, epoch_s, rates)
 
 
 # --- PPT/NPT transition analysis -------------------------------------------

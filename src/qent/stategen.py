@@ -99,12 +99,6 @@ def _gate_index(n: int, targets: tuple) -> np.ndarray:
     return idx
 
 
-def _apply(psi: np.ndarray, gate: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    out = np.empty_like(psi)
-    out[idx] = psi[idx] @ gate.T
-    return out
-
-
 def apply_gate(state: np.ndarray, gate: np.ndarray, targets) -> np.ndarray:
     """Apply a 2**t-dimensional gate to the listed qubits of a state vector.
 
@@ -121,38 +115,90 @@ def apply_gate(state: np.ndarray, gate: np.ndarray, targets) -> np.ndarray:
     gate = np.asarray(gate, dtype=complex)
     if gate.shape != (idx.shape[1], idx.shape[1]):
         raise ValueError(f"gate shape {gate.shape} does not act on {len(targets)} qubit(s)")
-    return _apply(state, gate, idx)
+    out = np.empty_like(state)
+    out[idx] = state[idx] @ gate.T
+    return out
 
 
-def run_circuit(spec: CircuitSpec) -> np.ndarray:
-    """Run a circuit on the all-zeros register and return the state vector.
+@lru_cache(maxsize=None)
+def _gate_tables(n: int) -> tuple:
+    """:func:`_gate_index` tables of every gate placement on n qubits.
 
-    Every gate is built up front: one stacked U formula for all rows, then
-    one controlled-gate stack for the rows with a control.
+    ``[n, R, 2]`` by target, and ``[n*n, R/2, 4]`` by ``target*n + control``
+    (zeros where control == target, which is never read).
     """
-    n = spec.num_qubits
-    u = _u_gates(spec.angles[:, :3])
-    gates = list(u)
-    cu = np.flatnonzero(spec.controls >= 0)
-    for i, g in zip(cu.tolist(), _controlled(u[cu], spec.angles[cu, 3])):
-        gates[i] = g
-    psi = np.zeros(1 << n, dtype=complex)
-    psi[0] = 1.0
-    for t, c, g in zip(spec.targets.tolist(), spec.controls.tolist(), gates):
-        psi = _apply(psi, g, _gate_index(n, (t,) if c < 0 else (t, c)))
-    return psi
+    single = np.stack([_gate_index(n, (t,)) for t in range(n)])
+    pairs = np.zeros((n * n, 1 << max(n - 2, 0), 4), dtype=int)
+    for t in range(n):
+        for c in range(n):
+            if c != t:
+                pairs[t * n + c] = _gate_index(n, (t, c))
+    return single, pairs
 
 
-def random_circuit_state(n: int, entangling: bool, rng) -> tuple:
-    """Random circuit state: local layer, optional controlled gates, local layer.
+def run_circuits(specs, psi=None) -> np.ndarray:
+    """Run circuits on one register size side by side; returns ``[m, 2**n]`` states.
+
+    Each starts from the all-zeros register, or from row i of ``psi``.  All
+    gates are built up front, one stacked U formula and one controlled stack.
+    Gate position j of every circuit then runs as one stacked
+    ``rows @ gate.T`` per gate size: each circuit's amplitudes are gathered
+    through its own index table, so circuits on different qubits share the
+    call, and every state sees exactly the products a lone run would make.
+    """
+    n = specs[0].num_qubits
+    if any(s.num_qubits != n for s in specs):
+        raise ValueError("circuits of one call must share a register size")
+    lengths = np.array([len(s.targets) for s in specs])
+    targets = np.concatenate([s.targets for s in specs]).astype(int)
+    controls = np.concatenate([s.controls for s in specs]).astype(int)
+    angles = np.concatenate([s.angles for s in specs]).reshape(-1, 4)
+    if ((targets < 0) | (targets >= n) | (controls < -1) | (controls >= n)).any():
+        raise ValueError(f"gate qubits out of range for {n} qubits")
+    if (controls == targets).any():
+        raise ValueError("a controlled gate's control equals its target")
+    k = 1 << n
+    out = np.zeros((len(specs), k), dtype=complex)
+    if psi is None:
+        out[:, 0] = 1.0
+    else:
+        out[:] = psi
+    # Gate rows sorted by position, then split into the two gate sizes.
+    pos = np.arange(len(targets)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    order = np.argsort(pos, kind="stable")
+    cu = controls[order] >= 0
+    one, two = order[~cu], order[cu]
+    u = _u_gates(angles[:, :3])
+    single, pairs = _gate_tables(n)
+    base = np.repeat(np.arange(len(specs)) * k, lengths)[:, None, None]
+    steps = int(lengths.max(initial=0))
+    flat = out.reshape(-1)
+    stacks = [
+        (base[rows] + table, gates.transpose(0, 2, 1), np.searchsorted(pos[rows], range(steps + 1)).tolist())
+        for rows, gates, table in (
+            (one, u[one], single[targets[one]]),
+            (two, _controlled(u[two], angles[two, 3]), pairs[targets[two] * n + controls[two]]),
+        )
+    ]
+    for j in range(steps):
+        for idx, gates_t, bounds in stacks:
+            lo, hi = bounds[j], bounds[j + 1]
+            if lo < hi:
+                at = idx[lo:hi]
+                flat[at] = flat[at] @ gates_t[lo:hi]
+    return out
+
+
+def draw_circuit(n: int, entangling: bool, rng) -> CircuitSpec:
+    """Random circuit: local layer, optional controlled gates, local layer.
 
     With ``entangling`` the number of controlled gates is uniform on
     ``[1, 2*C(n,2))`` and each lands on a uniformly random ordered
-    (control, target) pair; without it the circuit stays a product state.
+    (control, target) pair; without it the circuit makes a product state.
     The draws, in order: the first layer's ``(n, 3)`` angles; with
     ``entangling`` the gate count k, then per controlled gate its control,
     its target among the other qubits and its 4 angles; the last layer's
-    ``(n, 3)`` angles.  Returns ``(state, CircuitSpec)``.
+    ``(n, 3)`` angles.
     """
     if n < 2:
         raise ValueError("need at least 2 qubits")
@@ -168,8 +214,13 @@ def random_circuit_state(n: int, entangling: bool, rng) -> tuple:
         targets[j], controls[j] = t + (t >= c), c  # t skips over c
         angles[j] = rng.uniform(0.0, TAU, size=4)
     angles[n + k:, :3] = rng.uniform(0.0, TAU, size=(n, 3))
-    spec = CircuitSpec(n, targets, controls, angles)
-    return run_circuit(spec), spec
+    return CircuitSpec(n, targets, controls, angles)
+
+
+def random_circuit_state(n: int, entangling: bool, rng) -> tuple:
+    """Run one :func:`draw_circuit` circuit; returns ``(state, CircuitSpec)``."""
+    spec = draw_circuit(n, entangling, rng)
+    return run_circuits([spec])[0], spec
 
 
 def haar_state(n: int, rng) -> np.ndarray:
@@ -206,14 +257,13 @@ def w_state(n: int) -> np.ndarray:
     return psi
 
 
-def _random_local_gates(n: int, rng) -> np.ndarray:
-    """``[n, 2, 2]``: one random single-qubit rotation per qubit, qubit 0 first."""
-    return _u_gates(rng.uniform(0.0, TAU, size=(n, 3)))
-
-
 def random_local_unitary(n: int, rng) -> np.ndarray:
-    """Product of independent random single-qubit rotations, as one 2**n unitary."""
-    return kron_all(list(reversed(_random_local_gates(n, rng))))  # qubit n-1 factor first
+    """Product of independent random single-qubit rotations, as one 2**n unitary.
+
+    The rotations are drawn as ``(n, 3)`` angles, qubit 0 first.
+    """
+    gates = _u_gates(rng.uniform(0.0, TAU, size=(n, 3)))
+    return kron_all(list(reversed(gates)))  # qubit n-1 factor first
 
 
 def randomize_local(obj: np.ndarray, rng) -> np.ndarray:
@@ -231,9 +281,9 @@ def randomize_local(obj: np.ndarray, rng) -> np.ndarray:
     if obj.ndim == 2:
         v = random_local_unitary(n, rng)
         return v @ obj @ v.conj().T
-    for q, gate in enumerate(_random_local_gates(n, rng)):
-        obj = _apply(obj, gate, _gate_index(n, (q,)))
-    return obj
+    angles = np.zeros((n, 4))
+    angles[:, :3] = rng.uniform(0.0, TAU, size=(n, 3))  # the draw of random_local_unitary
+    return run_circuits([CircuitSpec(n, np.arange(n), np.full(n, -1), angles)], obj[None])[0]
 
 
 def random_probs(d: int, rng) -> np.ndarray:

@@ -30,6 +30,13 @@ def workspace(tmp_path_factory):
 
 
 class TestGen:
+    def test_summary_reports_rate(self, tmp_path, capsys):
+        assert run(["gen", "--qubits", 3, "--scale", 0.002, "--seed", 16, "--out", tmp_path,
+                    "--set", "pptes:acin"]) == 0
+        line = capsys.readouterr().out.strip()
+        assert line.startswith(f"wrote {tmp_path / 'pptes_acin.qent'}: 20 states (")
+        assert line.endswith(" states/s)") and float(line.split()[-2]) > 0
+
     def test_outputs_exist_with_manifests(self, workspace):
         data = workspace / "data"
         for name in ("train.qent", "valid.qent", "test_pure.qent", "test_mixed.qent",
@@ -68,8 +75,11 @@ class TestTrain:
         ckpt = workspace / "model.ckpt"
         assert ckpt.exists() and (workspace / "model.ckpt.arch").exists()
         log = (workspace / "model.ckpt.log.csv").read_text().splitlines()
-        assert log[0] == "epoch,mean_loss,val_accuracy"
+        assert log[0] == "epoch,mean_loss,val_accuracy,seconds,samples_per_s"
         assert len(log) == 3
+        for line in log[1:]:
+            seconds, rate = map(float, line.split(",")[3:])
+            assert seconds > 0 and rate > 0
 
     def test_siamese_zero_lambdas_match_cnn_losses(self, workspace, tmp_path):
         data = workspace / "data"
@@ -80,9 +90,10 @@ class TestTrain:
         assert run(["train", *args, "--model", "cnn", "--out", c1]) == 0
         assert run(["train", *args, "--model", "siamese", "--lambda1", 0, "--lambda2", 0,
                     "--out", c2]) == 0
-        l1 = (tmp_path / "a.ckpt.log.csv").read_text()
-        l2 = (tmp_path / "b.ckpt.log.csv").read_text()
-        assert l1 == l2
+        # epoch, loss and accuracy columns; the timing columns differ run to run
+        l1 = [line.split(",")[:3] for line in (tmp_path / "a.ckpt.log.csv").read_text().splitlines()]
+        l2 = [line.split(",")[:3] for line in (tmp_path / "b.ckpt.log.csv").read_text().splitlines()]
+        assert l1 == l2 and len(l1) == 2
 
     def test_resume_with_extra_data(self, workspace, tmp_path):
         data = workspace / "data"

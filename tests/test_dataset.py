@@ -7,6 +7,7 @@ import pytest
 from qent import dataset as dsm
 from qent import entanglement as ent
 from qent import qcore
+from qent import stategen as sg
 from qent.rng import seeded_rng
 
 
@@ -125,7 +126,8 @@ class TestRejectionCap:
 
     @staticmethod
     def never_certify(rho):
-        negs = np.zeros(ent.num_bipartitions(qcore.num_qubits(rho.shape[0])))
+        """Zero labels and negativities for a density matrix or a ``[..., K, K]`` stack."""
+        negs = np.zeros(rho.shape[:-2] + (ent.num_bipartitions(qcore.num_qubits(rho.shape[-1])),))
         return negs.astype(np.uint8), negs
 
     @pytest.mark.parametrize(
@@ -140,7 +142,7 @@ class TestRejectionCap:
         monkeypatch.setattr(dsm, "MAX_ATTEMPTS", 3)
         monkeypatch.setattr(ent, "label_by_negativity", self.never_certify)
         with pytest.raises(dsm.DatasetError, match=rf"^{name}: no 3-qubit state accepted in 3 attempts"):
-            make(seeded_rng(1, 0, 0, 0))
+            dsm._waves([make(seeded_rng(1, 0, 0, 0))])
 
     def test_entangled_pure_sampler_exhausts_cap(self, monkeypatch):
         monkeypatch.setattr(dsm, "MAX_ATTEMPTS", 4)
@@ -148,6 +150,27 @@ class TestRejectionCap:
         for pool in ("circuit", "haar"):
             with pytest.raises(dsm.DatasetError, match=r"^sample_entangled_pure: no 4-qubit state accepted in 4 attempts"):
                 dsm.sample_entangled_pure(4, pool, seeded_rng(1, 0, 0, 0))
+
+
+def sequential_mixture(n, d, pool, rng):
+    """Mixture of entangled pure states, one component attempt at a time."""
+    probs = sg.random_probs(d, rng)
+    comps = []
+    while len(comps) < d:
+        psi = sg.random_circuit_state(n, True, rng)[0] if pool == "circuit" else sg.haar_state(n, rng)
+        if np.all(ent.negativity_vector(np.outer(psi, psi.conj())) > ent.NPT_THRESHOLD):
+            comps.append(psi)
+    return sg.mix_states(probs, comps)
+
+
+class TestDeficitBatches:
+    @pytest.mark.parametrize("n,pool", [(3, "circuit"), (3, "haar"), (4, "circuit"), (5, "haar")])
+    @pytest.mark.parametrize("d", [1, 2, 7, 40])
+    def test_mixture_stream_ends_where_sequential_does(self, n, pool, d):
+        rng, ref = seeded_rng(60, n, d), seeded_rng(60, n, d)
+        rho = dsm.mixture_of_entangled(n, d, pool, rng)
+        assert rho.tobytes() == sequential_mixture(n, d, pool, ref).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestPptesSets:
@@ -179,7 +202,9 @@ class TestPptesSets:
 
 class TestSampleStreams:
     """Per-section accounting reads one ``seeded_rng(seed, set, section, i)``
-    call per row, in section and index order, made before its row."""
+    call per row, in section and index order, and counts every negativity
+    toward the section of the last such call: so no stream call or
+    negativity of one section may fall between the calls of another."""
 
     @pytest.fixture
     def events(self, monkeypatch):
@@ -198,10 +223,14 @@ class TestSampleStreams:
         monkeypatch.setattr(ent, "negativity_vector", negativity)
         return events
 
-    def test_one_call_per_row_before_the_row(self, events):
+    @staticmethod
+    def build():
         built = [(dsm._SET_TRAIN, dsm.build_training_set(3, "negativity", 0.0005, seed=30))]
         tests = dsm.build_test_sets(3, 0.0005, seed=30)
-        built += zip((dsm._SET_TEST_PURE, dsm._SET_TEST_MIXED), tests)
+        return built + list(zip((dsm._SET_TEST_PURE, dsm._SET_TEST_MIXED), tests))
+
+    def test_one_call_per_row_before_the_row(self, events):
+        built = self.build()
         calls = [j for j, (kind, key) in enumerate(events) if kind == "rng" and len(key) == 4]
         assert [events[j][1] for j in calls] == [
             (30, set_tag, tag, i)
@@ -209,13 +238,29 @@ class TestSampleStreams:
             for tag, count in enumerate(ds.manifest.sections.values())
             for i in range(count)
         ]
-        # Row r is made between call r and call r + 1: the last negativity
-        # computed there is the one it stores.
+        # Each stored negativity is computed after its section's first stream
+        # call and before the next section's first one.
         assert calls[0] == 0
-        negs = np.concatenate([ds.negs for _, ds in built])
-        for row, (lo, hi) in enumerate(zip(calls, calls[1:] + [len(events)])):
-            kind, last = events[hi - 1]
-            assert kind == "neg" and np.array_equal(last, negs[row])
+        first = {}
+        for j in calls:
+            first.setdefault(events[j][1][1:3], j)
+        ends = list(first.values())[1:] + [len(events)]
+        stored = {}
+        for set_tag, ds in built:
+            lo = 0
+            for tag, count in enumerate(ds.manifest.sections.values()):
+                stored[(set_tag, tag)] = ds.negs[lo : lo + count]
+                lo += count
+        for (section, lo), hi in zip(first.items(), ends):
+            seen = {row.tobytes() for kind, v in events[lo:hi] if kind == "neg"
+                    for row in v.reshape(-1, v.shape[-1])}
+            assert all(row.tobytes() in seen for row in stored[section]), section
+
+    def test_stored_negativities_equal_a_lone_call(self):
+        for _, ds in self.build():
+            rhos, _, negs = ds.arrays()
+            for rho, row in zip(rhos, negs):
+                assert ent.negativity_vector(rho).tobytes() == row.tobytes()
 
     def test_family_sets_make_no_sample_calls(self, events):
         dsm.build_pptes_testset("acin", 4, seed=31)

@@ -185,3 +185,30 @@ def test_checkpoint_independent_of_blas_threads(corpus, tmp_path):
         assert proc.stdout.split() in ([], [str(want)])
         digests.append(sha256(ckpt))
     assert digests[0] == digests[1]
+
+
+# Builds two corpora in a fresh interpreter and prints their digests.
+_BUILD_AND_DIGEST = """
+import hashlib, sys
+from pathlib import Path
+from qent import dataset as dsm
+out = Path(sys.argv[1])
+sets = {"train_negativity3": dsm.build_training_set(3, "negativity", 0.001, 21),
+        "test_mixed5": dsm.build_test_sets(5, 0.0002, 21)[1]}
+for name, ds in sets.items():
+    dsm.save_dataset(ds, out / name)
+    print(name, hashlib.sha256((out / name).read_bytes()).hexdigest())
+"""
+
+
+def test_corpora_independent_of_blas_threads(tmp_path):
+    """Stacked generation calls give the pinned bytes at 1 and 2 BLAS threads."""
+    paths = [os.path.dirname(os.path.dirname(qent.__file__))]
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(paths))
+        proc = subprocess.run(
+            [sys.executable, "-c", _BUILD_AND_DIGEST, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        digests = dict(line.split() for line in proc.stdout.splitlines())
+        assert digests == {name: SET_SHA256[name][0] for name in digests} and len(digests) == 2

@@ -169,6 +169,25 @@ class TestNegativityVectorKernel:
         ppt = ent.negativity_vector(horodecki)[ent.horodecki_ppt_cut(n).index - 1]
         assert ppt == 0.0 and not np.signbit(ppt)
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_stack_rows_equal_lone_calls(self, n):
+        rng = np.random.default_rng(40 + n)
+        rhos = []
+        for d in (1, 2, 3, 4, 6, 9, 20, 1, 2, 3, 5, 40):
+            psis = [sg.haar_state(n, rng) for _ in range(d)]
+            rhos.append(sg.mix_states(sg.random_probs(d, rng), psis))
+        rhos = np.stack(rhos + [random_mixed(n, rng) for _ in range(4)])
+        got = ent.negativity_vector(rhos)
+        assert got.shape == (len(rhos), ent.num_bipartitions(n))
+        for rho, row in zip(rhos, got):
+            assert row.tobytes() == negativity_reference(rho).tobytes()
+            assert row.tobytes() == ent.negativity_vector(rho).tobytes()
+        assert ent.negativity_vector(rhos.reshape(2, -1, *rhos.shape[1:])).tobytes() == got.tobytes()
+        pt = np.stack([[ent.partial_transpose(r, bp) for bp in ent.enumerate_bipartitions(n)] for r in rhos])
+        most = (np.linalg.eigvalsh(pt) < -ent.NPT_THRESHOLD).sum(axis=-1).max()
+        if n == 5:
+            assert most >= 8  # rows that sum 8 or more negatives pairwise are covered
+
     def test_non_hermitian_rejected(self):
         rho = random_mixed(3, np.random.default_rng(11))
         rho[0, 5] += 1e-6

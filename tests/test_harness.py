@@ -279,6 +279,54 @@ class TestPptesMask:
         assert np.all(mask[negs > ent.NPT_THRESHOLD])
 
 
+class TestDataChecks:
+    """Training and scoring refuse corpora with bad labels or negativities."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return dsm.build_pptes_testset("horodecki", 6, seed=63)
+
+    @staticmethod
+    def corrupted(ds, column, row, value):
+        cols = {c: getattr(ds, c).copy() for c in dsm.COLUMNS}
+        cols[column][row, 1] = value
+        return dsm.Dataset(ds.manifest, *(cols[c] for c in dsm.COLUMNS))
+
+    @pytest.mark.parametrize("column,value", [("labels", 2), ("negs", np.nan), ("negs", np.inf), ("negs", -0.5)])
+    def test_every_user_names_column_and_first_row(self, corpus, column, value):
+        bad = self.corrupted(self.corrupted(corpus, column, 4, value), column, 3, value)
+        model = mdl.build_cnn(tiny_arch(), seed=1)
+        cfg = mdl.TrainConfig(epochs=1, seed=1, batch_size=4)
+        calls = [
+            lambda: hn.train_model(model, bad, None, cfg),
+            lambda: hn.train_model(model, corpus, bad, cfg),
+            lambda: hn.evaluate_accuracy(model, bad),
+            lambda: hn.pptes_eval_mask(bad),
+        ]
+        for call in calls:
+            with pytest.raises(dsm.DatasetIntegrityError, match=rf"^column {column}, row 3: "):
+                call()
+
+    def test_negative_label_in_signed_column(self, corpus):
+        cols = {c: getattr(corpus, c) for c in dsm.COLUMNS}
+        cols["labels"] = cols["labels"].astype(np.int16)
+        cols["labels"][2, 0] = -1
+        with pytest.raises(dsm.DatasetIntegrityError, match=r"^column labels, row 2: "):
+            dsm.check_labels(dsm.Dataset(corpus.manifest, *(cols[c] for c in dsm.COLUMNS)))
+
+    def test_clean_corpus_passes(self, corpus):
+        dsm.check_labels(corpus)
+        assert hn.pptes_eval_mask(corpus).shape == corpus.labels.shape
+
+    def test_epoch_timing(self, corpus):
+        model = mdl.build_cnn(tiny_arch(), seed=2)
+        res = hn.train_model(model, corpus, corpus, mdl.TrainConfig(epochs=3, seed=2, batch_size=4))
+        assert len(res.epoch_seconds) == len(res.epoch_samples_per_s) == 3
+        assert all(s > 0 for s in res.epoch_seconds) and sum(res.epoch_seconds) <= res.seconds
+        for s, rate in zip(res.epoch_seconds, res.epoch_samples_per_s):
+            assert rate == len(corpus) / s
+
+
 class TestConcat:
     def test_saved_concat_equals_parts_in_order(self, mixed_sets, tmp_path):
         pure, mixed = mixed_sets

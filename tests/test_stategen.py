@@ -124,7 +124,48 @@ class TestBatchedGates:
                 else:
                     want = sg.apply_gate(want, sg.cu_gate(*a), [t, c])
             assert psi.tobytes() == want.tobytes()
-            assert sg.run_circuit(spec).tobytes() == want.tobytes()
+            assert sg.run_circuits([spec])[0].tobytes() == want.tobytes()
+
+
+def replay(spec, psi=None):
+    """One circuit gate by gate through the public apply_gate."""
+    if psi is None:
+        psi = np.zeros(1 << spec.num_qubits, dtype=complex)
+        psi[0] = 1.0
+    for t, c, a in zip(spec.targets, spec.controls, spec.angles):
+        psi = sg.apply_gate(psi, sg.u_gate(*a[:3]) if c < 0 else sg.cu_gate(*a), [t] if c < 0 else [t, c])
+    return psi
+
+
+class TestRunCircuits:
+    """A stacked run gives each circuit exactly the bytes of its lone run."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_rows_equal_lone_runs(self, n):
+        rng = np.random.default_rng(200 + n)
+        specs = [sg.draw_circuit(n, i % 4 != 0, rng) for i in range(24)]  # k = 0 every fourth
+        assert any(len(s.targets) == 2 * n for s in specs)
+        # some gate position mixes (target, control) pairs and gate sizes
+        at = [{(int(s.targets[j]), int(s.controls[j])) for s in specs if len(s.targets) > j}
+              for j in range(max(len(s.targets) for s in specs))]
+        assert max(len(pairs) for pairs in at) > n
+        want = [replay(s).tobytes() for s in specs]
+        for lo, hi in ((0, 1), (3, 5), (0, 24)):
+            got = sg.run_circuits(specs[lo:hi])
+            assert got.shape == (hi - lo, 1 << n)
+            assert [row.tobytes() for row in got] == want[lo:hi]
+
+    def test_start_states(self):
+        rng = np.random.default_rng(7)
+        specs = [sg.draw_circuit(3, True, rng) for _ in range(5)]
+        starts = np.stack([sg.haar_state(3, rng) for _ in range(5)])
+        got = sg.run_circuits(specs, starts)
+        assert [row.tobytes() for row in got] == [replay(s, p).tobytes() for s, p in zip(specs, starts)]
+
+    def test_rejects_mixed_register_sizes(self):
+        rng = np.random.default_rng(8)
+        with pytest.raises(ValueError):
+            sg.run_circuits([sg.draw_circuit(3, True, rng), sg.draw_circuit(4, True, rng)])
 
 
 class TestApplyGate:
@@ -267,11 +308,11 @@ class TestRandomCircuit:
     def test_run_circuit_rejects_bad_qubits(self):
         angles = np.full((1, 4), 1.0)
         with pytest.raises(ValueError):  # control == target
-            sg.run_circuit(sg.CircuitSpec(3, np.array([1]), np.array([1]), angles))
+            sg.run_circuits([sg.CircuitSpec(3, np.array([1]), np.array([1]), angles)])
         with pytest.raises(ValueError):  # target out of range
-            sg.run_circuit(sg.CircuitSpec(3, np.array([3]), np.array([-1]), angles))
+            sg.run_circuits([sg.CircuitSpec(3, np.array([3]), np.array([-1]), angles)])
         with pytest.raises(ValueError):  # control out of range
-            sg.run_circuit(sg.CircuitSpec(3, np.array([0]), np.array([5]), angles))
+            sg.run_circuits([sg.CircuitSpec(3, np.array([0]), np.array([5]), angles)])
 
 
 class _StubRng:
