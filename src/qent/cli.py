@@ -69,6 +69,7 @@ def cmd_gen(args) -> int:
         written = [("test_pure.qent", len(pure)), ("test_mixed.qent", len(mixed))]
     elif args.set.startswith("pptes:"):
         family = args.set.split(":", 1)[1]
+        dsm.check_scale(args.scale)
         count = max(1, int(round(PPTES_FULL_COUNT * args.scale)))
         ds = dsm.build_pptes_testset(family, count, args.seed, args.qubits)
         name = f"pptes_{family}.qent"

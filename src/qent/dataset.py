@@ -17,7 +17,7 @@ import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -248,9 +248,9 @@ def check_labels(ds: Dataset) -> None:
 # Each maker is a coroutine that makes its sample's draws in order and
 # returns one row: (rho, labels, negs, generator, d, mask).  It yields its
 # array work as ``(fn, batch)``: ``sg.run_circuits`` with a list of circuit
-# specs, ``ent.negativity_vector`` or ``ent.label_by_negativity`` with an
-# ``[m, K, K]`` stack, or ``_pure_negativities`` with ``[m, K]`` states,
-# and is sent back ``fn``'s result for its batch.
+# specs, ``ent.negativity_vector`` with an ``[m, K, K]`` stack, or
+# ``_pure_negativities`` with ``[m, K]`` states, and is sent back ``fn``'s
+# result for its batch.
 
 # Samples run side by side in one group of waves, and rows per stacked call,
 # at most.  A negativity call holds at most WAVE rows of 8x8 matrices' worth
@@ -292,15 +292,10 @@ def _waves(makers) -> list:
 
 def _stacked(fn, batches, limit) -> list:
     """``fn`` over the joined batches in calls of at most ``limit`` rows, split back per batch."""
-    if isinstance(batches[0], np.ndarray):
-        joined = np.concatenate(batches)
-    else:
-        joined = [spec for batch in batches for spec in batch]
-    outs = [fn(joined[lo : lo + limit]) for lo in range(0, len(joined), limit)]
-    parts = [np.concatenate(p) for p in zip(*outs)] if isinstance(outs[0], tuple) else [np.concatenate(outs)]
+    joined = np.concatenate(batches) if isinstance(batches[0], np.ndarray) else list(chain(*batches))
+    out = np.concatenate([fn(joined[lo : lo + limit]) for lo in range(0, len(joined), limit)])
     ends = np.cumsum([len(b) for b in batches]).tolist()
-    cut = [[p[hi - len(b) : hi] for p in parts] for b, hi in zip(batches, ends)]
-    return [tuple(c) if len(parts) > 1 else c[0] for c in cut]
+    return [out[hi - len(b) : hi] for b, hi in zip(batches, ends)]
 
 
 def _as_rho(psi: np.ndarray) -> np.ndarray:
@@ -329,13 +324,13 @@ def _pure_negativities(psis: np.ndarray) -> np.ndarray:
     return ent.negativity_vector(_as_rho(psis))
 
 
-def _label(rho: np.ndarray):
-    labels, negs = yield ent.label_by_negativity, rho[None]
-    return labels[0], negs[0]
-
-
 def _negativities(rho: np.ndarray):
     return (yield ent.negativity_vector, rho[None])[0]
+
+
+def _label(rho: np.ndarray):
+    negs = yield from _negativities(rho)
+    return (negs > ent.NPT_THRESHOLD).astype(np.uint8), negs
 
 
 def _pure_separable(n: int, rng):
@@ -483,9 +478,8 @@ def _family_state(family: str, n: int, rng):
     negativity oracle happens to certify on top of that.
     """
     rho = ent.pptes_state(family, rng, n)
-    negs = yield from _negativities(rho)
-    labels = ent.pptes_defining_labels(family, n) | (negs > ent.NPT_THRESHOLD)
-    return rho, labels, negs, PPTES_GEN[family], 0, 0
+    labels, negs = yield from _label(rho)
+    return rho, labels | ent.pptes_defining_labels(family, n), negs, PPTES_GEN[family], 0, 0
 
 
 # --- corpus builders -------------------------------------------------------
@@ -504,29 +498,33 @@ def _scaled(count: int, scale: float) -> int:
     return int(round(count * scale))
 
 
-def _check_build_args(n_qubits: int, scale: float) -> None:
-    if n_qubits not in TEST_D_CAPS:
-        raise ValueError(f"corpus builders support 3..5 qubits, got {n_qubits}")
+def check_scale(scale: float) -> None:
     if not 0.0 < scale <= 1.0:
         raise ValueError(f"scale {scale} outside (0, 1]")
 
 
+def _check_build_args(n_qubits: int, scale: float) -> None:
+    if n_qubits not in TEST_D_CAPS:
+        raise ValueError(f"corpus builders support 3..5 qubits, got {n_qubits}")
+    check_scale(scale)
+
+
 def _build_sections(n_qubits, strategy, seed, plan) -> Dataset:
-    """Corpus of ``plan``'s ``(name, count, make, rngs, width)`` sections, in order.
+    """Corpus of ``plan``'s ``(name, count, make, rngs)`` sections, in order.
 
     Row j of a section is the row of the maker ``make(rngs[j])``.  Makers run
-    ``width`` at a time through :func:`_waves`: WAVE when every sample has
-    its own stream, made just before its group, and 1 when a section chains
-    one stream.  Rows go straight into columns preallocated in the v1
-    record layout.
+    WAVE at a time through :func:`_waves`, each group made just before it
+    runs.  A family section chains one stream and still keeps its bytes:
+    :func:`_waves` starts makers in order, and :func:`_family_state` draws
+    nothing after its first yield.  Rows go into preallocated v1 columns.
     """
     manifest = DatasetManifest(n_qubits, strategy, {name: c for name, c, *_ in plan}, seed)
     fields = _record_dtype(n_qubits)
     cols = [np.empty((manifest.count, *fields[c].shape), fields[c].base) for c in COLUMNS]
     row = 0
-    for _, count, make, rngs, width in plan:
-        for lo in range(0, count, width):
-            for rho, *values in _waves([make(next(rngs)) for _ in range(min(width, count - lo))]):
+    for _, count, make, rngs in plan:
+        for lo in range(0, count, WAVE):
+            for rho, *values in _waves([make(next(rngs)) for _ in range(min(WAVE, count - lo))]):
                 cols[0][row] = rho.real, rho.imag
                 for col, value in zip(cols[1:], values):
                     col[row] = value
@@ -544,7 +542,7 @@ def _scaled_plan(plan, scale, seed, set_tag) -> list:
     for tag, (name, full, make) in enumerate(plan):
         count = _scaled(full, scale)
         rngs = map(partial(seeded_rng, seed, set_tag, tag), range(count))
-        out.append((name, count, make, rngs, WAVE))
+        out.append((name, count, make, rngs))
     return out
 
 
@@ -616,7 +614,7 @@ def build_pptes_testset(family: str, count: int, seed: int, n_qubits: int = 3) -
     if count < 1:
         raise ValueError("count must be positive")
     rngs = repeat(seeded_rng(seed, _SET_PPTES, PPTES_GEN[family]), count)
-    plan = [(f"pptes_{family}", count, partial(_family_state, family, n_qubits), rngs, 1)]
+    plan = [(f"pptes_{family}", count, partial(_family_state, family, n_qubits), rngs)]
     return _build_sections(n_qubits, "family", seed, plan)
 
 
@@ -625,14 +623,13 @@ def build_pptes_extension(scale: float, seed: int) -> Dataset:
 
     Each section draws all of its states from one stream.
     """
-    if not 0.0 < scale <= 1.0:
-        raise ValueError(f"scale {scale} outside (0, 1]")
+    check_scale(scale)
     plan = []
     sections = (("pptes_upb", 20_000, "upb"), ("pptes_acin", 30_000, "acin"))
     for tag, (name, full, family) in enumerate(sections):
         count = _scaled(full, scale)
         rngs = repeat(seeded_rng(seed, _SET_EXTENSION, 100 + tag), count)
-        plan.append((name, count, partial(_family_state, family, 3), rngs, 1))
+        plan.append((name, count, partial(_family_state, family, 3), rngs))
     return _build_sections(3, "family", seed, plan)
 
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import hermitian_eigenvalues, num_qubits
+from .qcore import EIG_HERMITICITY_ATOL, check_hermitian, num_qubits
 from .stategen import randomize_local
 
 # Eigenvalues of a partial transpose below -NPT_THRESHOLD count as genuinely
@@ -91,7 +91,7 @@ def _partial_transposes(rho: np.ndarray, n: int, cut=slice(None)) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (1 << n, 1 << n):
         raise ValueError(f"expected {1 << n}x{1 << n} density matrices, got shape {rho.shape}")
-    return rho.reshape(*rho.shape[:-2], -1)[..., _pt_index(n)[cut]]
+    return rho.reshape(*rho.shape[:-2], 1 << 2 * n)[..., _pt_index(n)[cut]]
 
 
 def partial_transpose(rho: np.ndarray, bp: Bipartition) -> np.ndarray:
@@ -102,39 +102,35 @@ def partial_transpose(rho: np.ndarray, bp: Bipartition) -> np.ndarray:
     Hermiticity and trace survive; positivity generally does not, which is
     the whole point.
     """
-    n = num_qubits(np.asarray(rho).shape[0])
-    if bp.num_qubits != n:
-        raise ValueError(f"bipartition is for {bp.num_qubits} qubits, state has {n}")
-    return _partial_transposes(rho, n, bp.index - 1)
-
-
-def _negative_mass(evs: np.ndarray) -> float:
-    neg = evs[evs < -NPT_THRESHOLD]
-    return float(-neg.sum()) + 0.0  # normalize -0.0 away
+    return _partial_transposes(rho, bp.num_qubits, bp.index - 1)
 
 
 def negativity(rho: np.ndarray, bp: Bipartition) -> float:
-    """Sum of |eigenvalue| over the negative spectrum of the partial transpose."""
-    return _negative_mass(hermitian_eigenvalues(partial_transpose(rho, bp)))
+    """Negativity of one cut: its entry of :func:`negativity_vector`."""
+    n = num_qubits(np.asarray(rho).shape[0])
+    if bp.num_qubits != n:
+        raise ValueError(f"bipartition is for {bp.num_qubits} qubits, state has {n}")
+    return float(negativity_vector(rho)[bp.index - 1])
 
 
 def negativity_vector(rho: np.ndarray) -> np.ndarray:
     """Negativity of every bipartition, in canonical order; ``[..., K, K]`` gives ``[..., cuts]``.
 
-    All partial transposes come from one gather and are diagonalized by one
-    stacked eigensolver call, which runs LAPACK once per matrix, so each row
-    of a stack is bit-equal to a call on its matrix alone.  The negatives of
-    an ascending spectrum lead it, and numpy sums fewer than 8 terms in
-    order, so a ``cumsum`` over the spectrum with the rest zeroed gives
-    ``_negative_mass``'s sum; rows with 8 or more negatives take
-    ``_negative_mass`` itself.
+    A partial transpose swaps rho's entries pairwise, so rho's Hermiticity
+    error is every cut's: rho alone is scanned.  One gather and one stacked
+    ``eigvalsh`` (LAPACK once per matrix) make each row of a stack bit-equal
+    to a call on its matrix alone.  The k negatives of an ascending spectrum
+    lead it; rows with the same k sum their first k eigenvalues in one call.
     """
-    n = num_qubits(np.asarray(rho).shape[-1])
-    evs = hermitian_eigenvalues(_partial_transposes(rho, n))
-    neg = evs < -NPT_THRESHOLD
-    negs = -np.cumsum(np.where(neg, evs, 0.0), axis=-1)[..., -1] + 0.0  # normalize -0.0 away
-    for at in zip(*np.nonzero(neg.sum(axis=-1) >= 8)):
-        negs[at] = _negative_mass(evs[at])
+    rho = np.asarray(rho, dtype=complex)
+    pts = _partial_transposes(rho, num_qubits(rho.shape[-1]))
+    check_hermitian(rho, EIG_HERMITICITY_ATOL, "matrix")
+    evs = np.linalg.eigvalsh(pts)
+    counts = (evs < -NPT_THRESHOLD).sum(axis=-1)
+    negs = np.zeros(counts.shape)
+    for k in set(counts.flat) - {0}:
+        rows = counts == k
+        negs[rows] = -evs[rows][:, :k].sum(-1)
     return negs
 
 

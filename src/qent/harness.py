@@ -256,10 +256,12 @@ def transition_analysis(
     """
     cap = dsm.TEST_D_CAPS.get(n_qubits)
     d_values = [int(d) for d in d_values]
+    if not d_values or min(d_values) < 1:
+        raise ValueError(f"d_values={d_values}: need one or more positive mixture sizes")
     if cap is not None and max(d_values) > cap:
         raise ValueError(f"d values exceed the configured cap {cap} for {n_qubits} qubits")
-    if min(d_values) < 1:
-        raise ValueError("mixture sizes must be positive")
+    if samples_per_d < 1:
+        raise ValueError(f"samples_per_d={samples_per_d}: need one or more samples per mixture size")
 
     pools = ("entangled_circuit", "entangled_haar", "separable")
     series = {p: {"npt_fraction": [], "conv_neg": []} for p in pools}

@@ -87,9 +87,14 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1] or m.size == 0:
         raise ValueError(f"expected square matrices, got shape {m.shape}")
-    if np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())) > EIG_HERMITICITY_ATOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
+    check_hermitian(m, EIG_HERMITICITY_ATOL, "matrix")
     return np.linalg.eigvalsh(m)
+
+
+def check_hermitian(m: np.ndarray, atol: float, what: str) -> None:
+    """Raise ValueError when a matrix or ``[..., K, K]`` stack has ``max|m - m^H| > atol``."""
+    if np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), initial=0.0) > atol:
+        raise ValueError(f"{what} is not Hermitian within tolerance")
 
 
 def permute_qubits(rho: np.ndarray, perm) -> np.ndarray:
@@ -124,8 +129,7 @@ def validate_density_matrix(rho: np.ndarray) -> None:
     num_qubits(rho.shape[-1])
     if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix has non-finite entries")
-    if np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj()), initial=0.0) > HERMITICITY_ATOL:
-        raise ValueError("density matrix is not Hermitian within tolerance")
+    check_hermitian(rho, HERMITICITY_ATOL, "density matrix")
     tr = np.trace(rho, axis1=-2, axis2=-1)
     bad = (np.abs(tr.imag) > TRACE_ATOL) | (np.abs(tr.real - 1.0) > TRACE_ATOL)
     if np.any(bad):

@@ -66,6 +66,11 @@ class TestGen:
                     "--out", tmp_path / "x", "--set", "pptes:foo"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'foo'" in err and "'horodecki'" in err
+        for scale in (-1, 7):
+            assert run(["gen", "--qubits", 3, "--scale", scale, "--seed", 1,
+                        "--out", tmp_path / "x", "--set", "pptes:acin"]) == 1
+            assert capsys.readouterr().err == f"error: scale {float(scale)} outside (0, 1]\n"
+        assert not (tmp_path / "x" / "pptes_acin.qent").exists()
         with pytest.raises(SystemExit):
             run(["gen", "--qubits", 3, "--scale", 0.01, "--out", tmp_path / "x"])  # no seed
 
@@ -194,6 +199,14 @@ class TestSweepAndConvneg:
         lines = (out / "transition.csv").read_text().splitlines()
         assert lines[0].startswith("d,convneg_entangled_circuit")
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("flag,value,name", [("--points", 0, "d_values"),
+                                                  ("--samples-per-d", 0, "samples_per_d")])
+    def test_convneg_empty_inputs_fail(self, workspace, tmp_path, capsys, flag, value, name):
+        assert run(["convneg", "--ckpt", workspace / "model.ckpt", "--qubits", 3,
+                    "--dmax", 10, flag, value, "--seed", 17, "--out", tmp_path / "x"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
 
     def test_convneg_qubit_mismatch(self, workspace, tmp_path):
         rc = run(["convneg", "--ckpt", workspace / "model.ckpt", "--qubits", 4,

@@ -126,9 +126,8 @@ class TestRejectionCap:
 
     @staticmethod
     def never_certify(rho):
-        """Zero labels and negativities for a density matrix or a ``[..., K, K]`` stack."""
-        negs = np.zeros(rho.shape[:-2] + (ent.num_bipartitions(qcore.num_qubits(rho.shape[-1])),))
-        return negs.astype(np.uint8), negs
+        """Zero negativities for a density matrix or a ``[..., K, K]`` stack."""
+        return np.zeros(rho.shape[:-2] + (ent.num_bipartitions(qcore.num_qubits(rho.shape[-1])),))
 
     @pytest.mark.parametrize(
         "name,make",
@@ -140,13 +139,16 @@ class TestRejectionCap:
     )
     def test_uncertified_labels_exhaust_cap(self, monkeypatch, name, make):
         monkeypatch.setattr(dsm, "MAX_ATTEMPTS", 3)
-        monkeypatch.setattr(ent, "label_by_negativity", self.never_certify)
+        # Mixture components still certify, so only the labels exhaust the cap.
+        neg_fn = ent.negativity_vector
+        monkeypatch.setattr(dsm, "_pure_negativities", lambda psis: neg_fn(dsm._as_rho(psis)))
+        monkeypatch.setattr(ent, "negativity_vector", self.never_certify)
         with pytest.raises(dsm.DatasetError, match=rf"^{name}: no 3-qubit state accepted in 3 attempts"):
             dsm._waves([make(seeded_rng(1, 0, 0, 0))])
 
     def test_entangled_pure_sampler_exhausts_cap(self, monkeypatch):
         monkeypatch.setattr(dsm, "MAX_ATTEMPTS", 4)
-        monkeypatch.setattr(ent, "negativity_vector", lambda rho: self.never_certify(rho)[1])
+        monkeypatch.setattr(ent, "negativity_vector", self.never_certify)
         for pool in ("circuit", "haar"):
             with pytest.raises(dsm.DatasetError, match=r"^sample_entangled_pure: no 4-qubit state accepted in 4 attempts"):
                 dsm.sample_entangled_pure(4, pool, seeded_rng(1, 0, 0, 0))

@@ -189,12 +189,38 @@ class TestNegativityVectorKernel:
             assert most >= 8  # rows that sum 8 or more negatives pairwise are covered
 
     def test_non_hermitian_rejected(self):
-        rho = random_mixed(3, np.random.default_rng(11))
-        rho[0, 5] += 1e-6
-        with pytest.raises(ValueError, match="Hermitian"):
-            ent.negativity_vector(rho)
-        with pytest.raises(ValueError):
-            ent.negativity(rho, ent.Bipartition(3, 0b100))
+        for n, at, delta in (
+            (3, (0, 5), 1e-6),  # moved by the cuts with qubit 2 on side B
+            (3, (3, 3), 1e-6j),  # imaginary diagonal: left in place by every cut
+            (4, (2, 13), 1e-6),  # 0010 vs 1101: moved by every cut
+        ):
+            rho = random_mixed(n, np.random.default_rng(11))
+            rho[at] += delta
+            with pytest.raises(ValueError, match="Hermitian"):
+                ent.negativity_vector(rho)
+            with pytest.raises(ValueError, match="Hermitian"):
+                ent.negativity_vector(np.stack([random_mixed(n, np.random.default_rng(12)), rho]))
+            for bp in ent.enumerate_bipartitions(n):
+                with pytest.raises(ValueError, match="Hermitian"):
+                    ent.negativity(rho, bp)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_partial_transpose_keeps_hermiticity_error(self, n):
+        """A partial transpose swaps entries pairwise, so scanning rho scans every cut."""
+        rng = np.random.default_rng(70 + n)
+        k = 1 << n
+        for _ in range(5):
+            m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+            want = np.max(np.abs(m - m.conj().T))
+            for bp in ent.enumerate_bipartitions(n):
+                pt = ent.partial_transpose(m, bp)
+                assert np.max(np.abs(pt - pt.conj().T)) == want
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_empty_stack(self, n):
+        k = 1 << n
+        got = ent.negativity_vector(np.zeros((0, k, k), dtype=complex))
+        assert got.shape == (0, ent.num_bipartitions(n)) and got.dtype == np.float64
 
     def test_shape_mismatch_rejected(self):
         rho = random_mixed(3, np.random.default_rng(12))

@@ -254,6 +254,12 @@ class TestTransition:
         with pytest.raises(ValueError):
             hn.transition_analysis(None, 3, [2, 40], 5, seeded_rng(60, 0))
 
+    def test_empty_inputs_name_the_argument(self):
+        with pytest.raises(ValueError, match="samples_per_d"):
+            hn.transition_analysis(None, 3, [2, 5], 0, seeded_rng(60, 1))
+        with pytest.raises(ValueError, match="d_values"):
+            hn.transition_analysis(None, 3, [], 5, seeded_rng(60, 1))
+
     def test_haar_pool_keeps_npt_mass_at_cap(self):
         # the cap is sized so a non-negligible NPT slice survives the mixing
         curves = hn.transition_analysis(
